@@ -363,6 +363,10 @@ def cmd_oracle(sc, args):
         ("oracle_cost", _fmt(sol.cost)),
         ("relative_cost_gap", _fmt(rel_cost)),
         ("kkt_residual", _fmt(sol.kkt_residual)),
+        ("kkt_dim", sol.kkt_dim),
+        ("kkt_nnz", sol.kkt_nnz),
+        ("boundary_u_shift", "n/a" if sol.boundary_u_shift is None
+         else _fmt(sol.boundary_u_shift)),
         ("csv", out),
     ])
     return 0

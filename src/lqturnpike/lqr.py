@@ -15,6 +15,7 @@ from .riccati import dre_rhs, fundamental_solution_U
 _DEGENERATE_DIST = 1e-14
 _DIP_FRACTION = 0.05
 _C_HAT_INFLATION = 1.05
+_MIN_FIT_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -228,11 +229,20 @@ def _running_cost(ts, ys, us, y_c):
 def decompose_state(traj, are, gram, S, steady, tol=DEFAULT_TOL):
     """Split a trajectory as x = x_h + x_s - transient + g with
     x_h(t) = U(t) U(0)^{-1} x0 and transient(t) = e^{t A+} x_s; the
-    remainder g decays pointwise as the horizon grows."""
+    remainder g decays pointwise as the horizon grows.
+
+    cond(U(0)) grows like e^{t1 (spread of Re lambda(A+))}; once it reaches
+    1/eps the split is meaningless and is refused with ``NumericalError``.
+    """
     ts = traj.grid
     t1 = float(ts[-1])
     x0 = traj.x[0]
     u0 = fundamental_solution_U(S, are, gram, 0.0, t1)
+    cond = float(np.linalg.cond(u0))
+    if not cond < 1.0 / np.finfo(float).eps:
+        raise NumericalError(
+            f"U(0) is numerically singular (condition number {cond:.3e}); "
+            "the state decomposition is undefined at this horizon")
     seed = np.linalg.solve(u0, x0)
     x_h = np.array([fundamental_solution_U(S, are, gram, t, t1) @ seed
                     for t in ts])
@@ -243,7 +253,8 @@ def decompose_state(traj, are, gram, S, steady, tol=DEFAULT_TOL):
 
 
 def _fit_decay_rate(ts, dist, floor):
-    """Least-squares decay rate of log(dist) over the given nodes.
+    """Least-squares decay rate of log(dist) over the given nodes; NaN
+    when fewer than ``_MIN_FIT_SAMPLES`` of them lie above ``floor``.
 
     Regressors are [1, t, log(1+t)]; the logarithmic term absorbs the
     polynomial envelope t^k e^{lambda t} that defective closed-loop spectra
@@ -251,8 +262,8 @@ def _fit_decay_rate(ts, dist, floor):
     off the spectral abscissa.
     """
     mask = dist > floor
-    if int(np.sum(mask)) < 4:
-        return 0.0
+    if int(np.sum(mask)) < _MIN_FIT_SAMPLES:
+        return float("nan")
     t = ts[mask]
     z = np.log(dist[mask])
     basis = np.column_stack([np.ones_like(t), t, np.log1p(t)])
@@ -282,12 +293,16 @@ def _rate_window(ts, dist_x, t1):
 def turnpike_report(traj, steady, lam=None, remainder=None):
     """Turnpike diagnostics for a solved trajectory.
 
-    The fitted decay rate comes from the head window [0, t1/4]; the envelope
+    The decay rate is fitted on the ``_rate_window`` stretch [t1/4, dip]
+    between the initial boundary layer and the mid-horizon dip (the head
+    window [0, t1/4] only when that stretch is too short); it is NaN when
+    too few window samples lie above the degeneracy floor.  The envelope
     constant is the (inflated) global maximum of dist/(e^{lt}+e^{l(t1-t)}).
     ``envelope_holds`` additionally demands that both state and input
-    distances decay in the head and that the mid-horizon distance dips well
-    below the boundary-layer values; a single-horizon run cannot falsify the
-    existence of *some* envelope constant, but it can certify the dip.
+    distances decay over the window and that the mid-horizon distance dips
+    well below the boundary-layer values; a single-horizon run cannot
+    falsify the existence of *some* envelope constant, but it can certify
+    the dip.
     """
     ts = traj.grid
     t1 = float(ts[-1])
@@ -337,10 +352,14 @@ def turnpike_report(traj, steady, lam=None, remainder=None):
     if not dip_ok:
         report.notes.append("mid-horizon state distance does not dip below "
                             "the boundary layers")
-    if lam_x >= 0.0:
-        report.notes.append("state distance does not decay over the head window")
-    if lam_u >= 0.0:
-        report.notes.append("input distance does not decay over the head window")
+    for label, rate_hat in (("state", lam_x), ("input", lam_u)):
+        if np.isnan(rate_hat):
+            report.notes.append(
+                f"{label} distance: fewer than {_MIN_FIT_SAMPLES} window "
+                "samples above the degeneracy floor; rate not fitted")
+        elif rate_hat >= 0.0:
+            report.notes.append(
+                f"{label} distance does not decay over the rate window")
 
     report.envelope_holds = bool(lam_x < 0.0 and lam_u < 0.0 and dip_ok)
     return report

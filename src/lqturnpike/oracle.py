@@ -1,17 +1,21 @@
 """Independent brute-force verifier: direct transcription of the
 finite-horizon problems into an equality-constrained QP solved through one
-dense KKT system.
+sparse KKT system.
 
 Standard plants use implicit-midpoint dynamics (second order, controls at
 interval midpoints); descriptor plants use trapezoidal collocation on the
 differential rows with the algebraic rows pinned exactly at every node
-(controls at nodes).  No structure is exploited in the solve: the KKT
-matrix is assembled dense and handed to one LAPACK factorization, which
-keeps this path entirely independent of the Riccati machinery it is used
-to check.
+(controls at nodes).  Each scheme is assembled once as COO triplets by
+vectorised index arithmetic, and the KKT matrix is handed to a general
+sparse LU (SuperLU).  No control structure is exploited in the solve, which
+keeps this path entirely independent of the Riccati machinery it is used to
+check.
+
+``scipy.sparse`` is imported inside the functions that use it, so importing
+the package does not load it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +23,18 @@ from .errors import NumericalError
 from .linalg import DEFAULT_TOL, as_vector, rank_svd
 from .plants import DescriptorPlant, LtiPlant
 
-_RANK_CHECK_MAX_N = 200  # full row-rank audit only at small sizes (SVD cost)
+_RANK_CHECK_MAX_N = 200  # full row-rank audit (dense SVD of G) only at small sizes
+_KKT_RESIDUAL_MAX = 1e-9
 
 
 @dataclass(frozen=True)
 class DiscretizedLQ:
     """Assembled equality-constrained QP: minimize 1/2 z*Hz - f*z + const
-    subject to G z = b."""
+    subject to G z = b.
+
+    ``discretize`` returns dense H and G; the solver path keeps them as
+    scipy CSR arrays.
+    """
 
     N: int
     h: float
@@ -48,20 +57,18 @@ class OracleSolution:
     u_times: np.ndarray
     cost: float
     kkt_residual: float
+    kkt_dim: int           # size of the square KKT matrix
+    kkt_nnz: int           # its stored nonzeros
+    # descriptor plants: largest change the boundary extrapolation made to
+    # the raw QP controls at nodes 0 and N (None for standard plants)
+    boundary_u_shift: float | None
 
 
 def discretize(plant, x0, y_c, y_e, t1, N):
-    """Build the QP for one scenario.  See module docstring for the schemes."""
-    if N < 50:
-        raise ValueError("N must be at least 50")
-    x0 = as_vector(x0, "x0")
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
-    if isinstance(plant, DescriptorPlant):
-        return _discretize_dae(plant, x0, y_c, y_e, t1, N)
-    if isinstance(plant, LtiPlant):
-        return _discretize_ode(plant, x0, y_c, y_e, t1, N)
-    raise TypeError(f"unsupported plant type {type(plant).__name__}")
+    """Build the QP for one scenario with dense H and G.  See the module
+    docstring for the schemes."""
+    disc = _assemble(plant, x0, y_c, y_e, t1, N)
+    return replace(disc, H=disc.H.toarray(), G=disc.G.toarray())
 
 
 def _trapezoid_weights(N, h):
@@ -70,46 +77,79 @@ def _trapezoid_weights(N, h):
     return w
 
 
-def _discretize_ode(plant, x0, y_c, y_e, t1, N):
-    n, m = plant.n, plant.m
-    h = t1 / N
-    nx = n * (N + 1)
-    nz = nx + m * N
-    ctc = plant.C.T @ plant.C
-    cty = plant.C.T @ y_c
-    ftf = plant.F.T @ plant.F
-    fty = plant.F.T @ y_e
+def _tile(block, rows, cols, scale=1.0):
+    """COO triplets of one copy of ``block`` per top-left corner
+    ``(rows[k], cols[k])``, copy k multiplied by ``scale[k]``."""
+    r, c = np.nonzero(block)
+    rows = np.asarray(rows)[:, None]
+    cols = np.asarray(cols)[:, None]
+    vals = np.multiply.outer(np.broadcast_to(scale, rows.shape[:1]), block[r, c])
+    return (rows + r).ravel(), (cols + c).ravel(), vals.ravel()
 
-    H = np.zeros((nz, nz))
-    f = np.zeros(nz)
+
+def _csr(parts, shape):
+    """Sum the COO triplets ``parts`` into a CSR array without stored zeros."""
+    from scipy.sparse import coo_array
+
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    mat = coo_array((vals, (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _assemble(plant, x0, y_c, y_e, t1, N):
+    """The QP of ``discretize`` with H and G as sparse CSR arrays."""
+    if N < 50:
+        raise ValueError("N must be at least 50")
+    x0 = as_vector(x0, "x0")
+    y_c = as_vector(y_c, "y_c")
+    y_e = as_vector(y_e, "y_e")
+    n, m, h = plant.n, plant.m, t1 / N
     wq = _trapezoid_weights(N, h)
-    for j in range(N + 1):
-        sl = slice(j * n, (j + 1) * n)
-        H[sl, sl] = wq[j] * ctc
-        f[sl] = wq[j] * cty
-    H[N * n:nx, N * n:nx] += ftf
-    f[N * n:nx] += fty
-    for j in range(N):
-        sl = slice(nx + j * m, nx + (j + 1) * m)
-        H[sl, sl] = h * np.eye(m)
+    if isinstance(plant, DescriptorPlant):
+        kind, d, wu = "dae", plant.d, wq          # controls at the nodes
+        g_parts, b = _dae_constraints(plant, x0, N, h)
+    elif isinstance(plant, LtiPlant):
+        kind, d, wu = "ode", 0, np.full(N, h)     # controls at midpoints
+        g_parts, b = _ode_constraints(plant, x0, N, h)
+    else:
+        raise TypeError(f"unsupported plant type {type(plant).__name__}")
+
+    nx = n * (N + 1)
+    nz = nx + m * wu.size
+    nodes = n * np.arange(N + 1)
+    controls = nx + m * np.arange(wu.size)
+    H = _csr([_tile(plant.C.T @ plant.C, nodes, nodes, wq),
+              _tile(plant.F.T @ plant.F, [N * n], [N * n]),
+              _tile(np.eye(m), controls, controls, wu)], (nz, nz))
+    f = np.zeros(nz)
+    f[:nx] = np.multiply.outer(wq, plant.C.T @ y_c).ravel()
+    f[N * n:nx] += plant.F.T @ y_e
     const = 0.5 * float(np.sum(wq)) * float(y_c @ y_c) + 0.5 * float(y_e @ y_e)
-
-    nc = n + n * N
-    G = np.zeros((nc, nz))
-    b = np.zeros(nc)
-    G[:n, :n] = np.eye(n)
-    b[:n] = x0
-    half_a = 0.5 * h * plant.A
-    for j in range(N):
-        rows = slice(n + j * n, n + (j + 1) * n)
-        G[rows, j * n:(j + 1) * n] = -np.eye(n) - half_a
-        G[rows, (j + 1) * n:(j + 2) * n] = np.eye(n) - half_a
-        G[rows, nx + j * m:nx + (j + 1) * m] = -h * plant.B
+    G = _csr(g_parts, (b.size, nz))
     return DiscretizedLQ(N=N, h=h, H=H, G=G, f=f, b=b, const=const,
-                         n=n, m=m, kind="ode")
+                         n=n, m=m, kind=kind, d=d)
 
 
-def _discretize_dae(plant, x0, y_c, y_e, t1, N):
+def _ode_constraints(plant, x0, N, h):
+    """Implicit midpoint: x(0) = x0 and, on every interval j,
+    (I - hA/2) x_{j+1} - (I + hA/2) x_j - h B u_{j+1/2} = 0."""
+    n, m = plant.n, plant.m
+    nx = n * (N + 1)
+    j = np.arange(N)
+    rows = n + n * j
+    eye = np.eye(n)
+    half_a = 0.5 * h * plant.A
+    parts = [_tile(eye, [0], [0]),
+             _tile(-eye - half_a, rows, n * j),
+             _tile(eye - half_a, rows, n * (j + 1)),
+             _tile(-h * plant.B, rows, nx + m * j)]
+    b = np.zeros(nx)
+    b[:n] = x0
+    return parts, b
+
+
+def _dae_constraints(plant, x0, N, h):
     """Trapezoidal collocation for the descriptor problem.
 
     The differential rows are discretized by the trapezoid rule while the
@@ -120,76 +160,57 @@ def _discretize_dae(plant, x0, y_c, y_e, t1, N):
     the verification budget at the prescribed step counts.)  Only the
     differential part of x(0) is prescribed; the algebraic initial values
     are unknowns fixed by the node-0 algebraic rows.
+
+    Rows: the d initial conditions, then d rows per interval, then n - d
+    algebraic rows per node.
     """
     n, m, d = plant.n, plant.m, plant.d
-    h = t1 / N
     nx = n * (N + 1)
-    nz = nx + m * (N + 1)
-    ctc = plant.C.T @ plant.C
-    cty = plant.C.T @ y_c
-    ftf = plant.F.T @ plant.F
-    fty = plant.F.T @ y_e
-
-    H = np.zeros((nz, nz))
-    f = np.zeros(nz)
-    wq = _trapezoid_weights(N, h)
-    for j in range(N + 1):
-        sl = slice(j * n, (j + 1) * n)
-        H[sl, sl] = wq[j] * ctc
-        f[sl] = wq[j] * cty
-        su = slice(nx + j * m, nx + (j + 1) * m)
-        H[su, su] = wq[j] * np.eye(m)
-    H[N * n:nx, N * n:nx] += ftf
-    f[N * n:nx] += fty
-    const = 0.5 * float(np.sum(wq)) * float(y_c @ y_c) + 0.5 * float(y_e @ y_e)
-
-    a_diff = plant.A[:d, :]      # differential rows of A
-    b_diff = plant.B[:d, :]
-    a_alg = plant.A[d:, :]       # algebraic rows
-    b_alg = plant.B[d:, :]
-    sel = np.zeros((d, n))
-    sel[:, :d] = np.eye(d)
-
-    nc = d + d * N + (n - d) * (N + 1)
-    G = np.zeros((nc, nz))
-    b = np.zeros(nc)
-    G[:d, :d] = np.eye(d)
+    j = np.arange(N)
+    k = np.arange(N + 1)
+    diff_rows = d + d * j
+    alg_rows = d * (N + 1) + (n - d) * k
+    sel = np.eye(d, n)
+    half_a = 0.5 * h * plant.A[:d, :]
+    half_b = -0.5 * h * plant.B[:d, :]
+    parts = [_tile(np.eye(d), [0], [0]),
+             _tile(-sel - half_a, diff_rows, n * j),
+             _tile(sel - half_a, diff_rows, n * (j + 1)),
+             _tile(half_b, diff_rows, nx + m * j),
+             _tile(half_b, diff_rows, nx + m * (j + 1)),
+             _tile(plant.A[d:, :], alg_rows, n * k),
+             _tile(plant.B[d:, :], alg_rows, nx + m * k)]
+    b = np.zeros(nx)
     b[:d] = x0[:d]
-    row = d
-    for j in range(1, N + 1):
-        rows = slice(row, row + d)
-        G[rows, (j - 1) * n:j * n] = -sel - 0.5 * h * a_diff
-        G[rows, j * n:(j + 1) * n] = sel - 0.5 * h * a_diff
-        G[rows, nx + (j - 1) * m:nx + j * m] = -0.5 * h * b_diff
-        G[rows, nx + j * m:nx + (j + 1) * m] = -0.5 * h * b_diff
-        row += d
-    for j in range(N + 1):
-        rows = slice(row, row + n - d)
-        G[rows, j * n:(j + 1) * n] = a_alg
-        G[rows, nx + j * m:nx + (j + 1) * m] = b_alg
-        row += n - d
-    return DiscretizedLQ(N=N, h=h, H=H, G=G, f=f, b=b, const=const,
-                         n=n, m=m, kind="dae", d=d)
+    return parts, b
 
 
 def transcribe_and_solve(plant, x0, y_c, y_e, t1, N, tol=DEFAULT_TOL):
-    """Discretize and solve the equality-constrained QP by one dense
-    symmetric-indefinite KKT solve."""
-    disc = discretize(plant, x0, y_c, y_e, t1, N)
-    if N <= _RANK_CHECK_MAX_N and rank_svd(disc.G, tol) < disc.G.shape[0]:
+    """Discretize and solve the equality-constrained QP by one sparse LU of
+    its KKT matrix.
+
+    Refused with ``NumericalError`` when the constraint rows are rank
+    deficient (audited by SVD up to N = 200), when the LU meets an exactly
+    singular pivot, or when the relative KKT residual is not below 1e-9.
+    """
+    from scipy.sparse import bmat
+    from scipy.sparse.linalg import splu
+
+    disc = _assemble(plant, x0, y_c, y_e, t1, N)
+    if N <= _RANK_CHECK_MAX_N and rank_svd(disc.G.toarray(), tol) < disc.G.shape[0]:
         raise NumericalError("rank-deficient KKT system (structural "
                              "assumptions violated)")
     nz = disc.H.shape[0]
-    nc = disc.G.shape[0]
-    kkt = np.block([[disc.H, disc.G.T], [disc.G, np.zeros((nc, nc))]])
+    kkt = bmat([[disc.H, disc.G.T], [disc.G, None]], format="csc")
     rhs = np.concatenate([disc.f, disc.b])
     try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
+        sol = splu(kkt).solve(rhs)
+    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
         raise NumericalError(f"rank-deficient KKT system: {exc}") from exc
     resid = float(np.linalg.norm(kkt @ sol - rhs) / (1.0 + np.linalg.norm(rhs)))
-    if resid > 1e-9:
-        raise NumericalError(f"KKT residual {resid:.3e} exceeds 1e-9")
+    if not resid <= _KKT_RESIDUAL_MAX:   # also refuses a NaN residual
+        raise NumericalError(
+            f"KKT residual {resid:.3e} exceeds {_KKT_RESIDUAL_MAX:.0e}")
 
     z = sol[:nz]
     n, m, h = disc.n, disc.m, disc.h
@@ -197,9 +218,11 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N, tol=DEFAULT_TOL):
     nx = n * (N + 1)
     xs = z[:nx].reshape(N + 1, n).copy()
     us = z[nx:].reshape(-1, m).copy()
+    shift = None
     if disc.kind == "dae":
         u_times = grid.copy()
         d = disc.d
+        shift = 0.0
         if n > d:
             # Boundary-node controls are tied to one-sided interval
             # multipliers (and, for nonzero C2, to an h-amplified algebraic
@@ -213,12 +236,15 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N, tol=DEFAULT_TOL):
                 for j, uj in ((0, u_first), (N, u_last)):
                     x2j = -np.linalg.solve(
                         part.A22, part.A21 @ xs[j, :d] + part.B2 @ uj)
+                    shift = max(shift, float(np.max(np.abs(uj - us[j]))))
                     us[j] = uj
                     xs[j, d:] = x2j
             except np.linalg.LinAlgError:
                 pass   # singular fast block: keep the raw QP values
     else:
         u_times = grid[:-1] + 0.5 * h
-    cost = 0.5 * float(z @ disc.H @ z) - float(disc.f @ z) + disc.const
+    cost = 0.5 * float(z @ (disc.H @ z)) - float(disc.f @ z) + disc.const
     return OracleSolution(grid=grid, x=xs, u=us, u_times=u_times,
-                          cost=float(cost), kkt_residual=resid)
+                          cost=float(cost), kkt_residual=resid,
+                          kkt_dim=int(kkt.shape[0]), kkt_nnz=int(kkt.nnz),
+                          boundary_u_shift=shift)

@@ -123,6 +123,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "max_state_error" in out
 
+    def test_oracle_reports_kkt_size(self, tmp_path, capsys):
+        for name, data in (("ode.json", ODE_SCENARIO), ("dae.json", DAE_SCENARIO)):
+            path = _write(tmp_path, name, data)
+            assert main(["oracle", str(path), "--steps", "60"]) == 0
+            out = dict(line.split(": ", 1)
+                       for line in capsys.readouterr().out.splitlines())
+            assert int(out["kkt_dim"]) > 0 and int(out["kkt_nnz"]) > 0
+            if data["kind"] == "ode":
+                assert out["boundary_u_shift"] == "n/a"
+            else:
+                assert float(out["boundary_u_shift"]) >= 0.0
+
     def test_dump_normalized_skips_run(self, tmp_path, capsys):
         path = _write(tmp_path, "ode.json", ODE_SCENARIO)
         assert main(["dre", str(path), "--dump-normalized"]) == 0
@@ -191,3 +203,17 @@ class TestExitCodes:
         data["F"] = [[0.0, 0.0]]
         path = _write(tmp_path, "sing.json", data)
         assert main(["oracle", str(path), "--steps", "60"]) == 3
+
+    def test_singular_decomposition_is_three(self, tmp_path, capsys):
+        # a random standard plant whose U(0) is singular at t1 = 40
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((4, 4)) / 2.0
+        b, c, f = (m / np.linalg.norm(m, 2) for m in (
+            rng.standard_normal((4, 1)), rng.standard_normal((1, 4)),
+            rng.standard_normal((1, 4))))
+        data = {"kind": "ode", "A": a.tolist(), "B": b.tolist(),
+                "C": c.tolist(), "F": f.tolist(), "x0": [1.0] * 4,
+                "y_c": [0.5], "y_e": [0.0], "t1": 40.0}
+        path = _write(tmp_path, "rand.json", data)
+        assert main(["turnpike", str(path)]) == 3
+        assert "condition number" in capsys.readouterr().err

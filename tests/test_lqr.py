@@ -163,6 +163,16 @@ class TestTurnpikeReport:
             assert not rep.envelope_holds
         assert lt.turnpike_report(traj, SteadyZero()).lambda_hat > 0.0
 
+    def test_unfittable_rate_is_nan(self, abc_fc, are_abc):
+        # at t1 = 40 the escaping state puts the degeneracy floor above every
+        # window sample, so no rate can be fitted
+        steady = lt.steady_state(abc_fc, are_abc, [0.0])
+        traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], [1.0], 40.0)
+        rep = lt.turnpike_report(traj, steady, lam=are_abc.lam)
+        assert np.isnan(rep.lambda_hat)
+        assert not rep.envelope_holds
+        assert any("rate not fitted" in note for note in rep.notes)
+
     def test_coarse_grid_rejected(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [0.0])
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,3 +116,52 @@ class TestCostMonotonicity:
                  for N in (100, 200, 400)]
         for coarse, fine in zip(costs, costs[1:]):
             assert fine <= coarse + 1e-6 * (1.0 + abs(coarse))
+
+
+class TestSparsePath:
+    def test_rank_deficiency_past_audit(self):
+        # the plant of test_rank_deficiency_detected at an N the SVD rank
+        # audit skips: the sparse LU itself must refuse
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]), F=np.zeros((1, 2)))
+        with pytest.raises(NumericalError):
+            lt.transcribe_and_solve(plant, [1.0, 0.0], [0.0], [0.0], 1.0, 300)
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    def test_matches_dense_kkt(self, kind, abc_fperp, ref_dae):
+        if kind == "ode":
+            plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
+        else:
+            plant, x0, y_c, y_e = ref_dae, [1.0, 0.0], [1.0], [0.0]
+        disc = discretize(plant, x0, y_c, y_e, 10.0, 200)
+        nz, nc = disc.H.shape[0], disc.G.shape[0]
+        kkt = np.block([[disc.H, disc.G.T], [disc.G, np.zeros((nc, nc))]])
+        z = np.linalg.solve(kkt, np.concatenate([disc.f, disc.b]))[:nz]
+        nx = disc.n * 201
+        x_ref = z[:nx].reshape(201, disc.n)
+        u_ref = z[nx:].reshape(-1, disc.m)
+        cost_ref = 0.5 * z @ disc.H @ z - disc.f @ z + disc.const
+
+        sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, 10.0, 200)
+        assert sol.kkt_dim == nz + nc
+        assert sol.kkt_nnz == np.count_nonzero(kkt)
+        assert abs(sol.cost - cost_ref) <= 1e-12 * (1.0 + abs(cost_ref))
+        if kind == "ode":
+            assert sol.boundary_u_shift is None
+            assert np.abs(sol.x - x_ref).max() <= 1e-12
+            assert np.abs(sol.u - u_ref).max() <= 1e-12
+        else:
+            # nodes 0 and N carry the boundary extrapolation
+            assert np.abs(sol.x[1:-1] - x_ref[1:-1]).max() <= 1e-12
+            assert np.abs(sol.u[1:-1] - u_ref[1:-1]).max() <= 1e-12
+            assert np.abs(sol.x[[0, -1], :1] - x_ref[[0, -1], :1]).max() <= 1e-12
+            shift = np.abs(sol.u[[0, -1]] - u_ref[[0, -1]]).max()
+            assert sol.boundary_u_shift == pytest.approx(shift, abs=1e-12)
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        code = ("import sys, lqturnpike, lqturnpike.cli; "
+                "print('scipy.sparse' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
