@@ -335,6 +335,7 @@ def cmd_turnpike(sc, args):
         ("C_hat", _fmt(report.C_hat)),
         ("envelope_holds", report.envelope_holds),
         ("max_violation", _fmt(report.max_violation)),
+        *(("note", note) for note in report.notes),
         ("csv", out),
     ])
     return 0

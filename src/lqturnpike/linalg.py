@@ -1,6 +1,9 @@
 """Dense real linear-algebra kernel: matrix exponential, Lyapunov and
 algebraic Riccati solvers, rank and spectral helpers.
 
+The solvers are scipy's Schur-based routines: ``scipy.linalg.expm``,
+Bartels-Stewart ``solve_continuous_lyapunov`` and an ordered real Schur form
+(``scipy.linalg.schur``) of the Hamiltonian for the Riccati equation.
 Everything operates on plain 2-D numpy arrays of float64.  All functions are
 pure; solvers validate their own contracts (residual bounds, stability of the
 closed loop) before returning.
@@ -9,20 +12,11 @@ closed loop) before returning.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import AssumptionViolation, DimensionError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
-
-# Pade order-13 numerator/denominator coefficients and the matching
-# scaling threshold for the 1-norm.
-_PADE13_B = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-])
-_PADE13_THETA = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -85,34 +79,13 @@ def sym(m):
 
 
 def expm(m):
-    """Matrix exponential by scaling-and-squaring with an order-13 Pade
-    rational approximant."""
+    """Matrix exponential (scipy's scaling-and-squaring Pade, Al-Mohy and
+    Higham 2009)."""
     a = as_matrix(m, "expm argument")
     _require_square(a, "expm argument")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros((0, 0))
-    norm1 = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm1 > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm1 / _PADE13_THETA)))
-        a = a / (2.0 ** squarings)
-    b = _PADE13_B
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    try:
-        r = np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NumericalError(f"Pade denominator singular: {exc}") from exc
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    return sla.expm(a)
 
 
 def spectral_abscissa(m):
@@ -160,8 +133,9 @@ def smallest_singular_value(m):
 
 
 def solve_lyapunov(a_stable, q_sym, tol=DEFAULT_TOL):
-    """Solve ``A X + X A* + Q = 0`` for symmetric X by Kronecker
-    vectorization (dense n^2 x n^2 solve; intended for small n).
+    """Solve ``A X + X A* + Q = 0`` for symmetric X by the Bartels-Stewart
+    method (real Schur form of A, then a quasi-triangular Sylvester solve;
+    O(n^3) time, O(n^2) memory).
 
     ``A`` must be Hurwitz; Q is symmetrized on input.
     """
@@ -178,14 +152,10 @@ def solve_lyapunov(a_stable, q_sym, tol=DEFAULT_TOL):
         raise AssumptionViolation(
             "stability", "Lyapunov solve requires a Hurwitz coefficient matrix")
     q = sym(q)
-    ident = np.eye(n)
-    # row-major vec: vec(A X) = (A (x) I) vec X, vec(X A^T) = (I (x) A) vec X
-    kron = np.kron(a, ident) + np.kron(ident, a)
     try:
-        x = np.linalg.solve(kron, -q.ravel()).reshape(n, n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular Kronecker system: {exc}") from exc
-    x = sym(x)
+        x = sym(sla.solve_continuous_lyapunov(a, -q))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Bartels-Stewart solve failed: {exc}") from exc
     resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
     if resid > tol.residual * (1.0 + np.linalg.norm(x, "fro")):
         raise NumericalError(
@@ -202,8 +172,8 @@ def _kleinman_refine(a, bbt, q, p0, tol, max_iter=12):
     solution; each step is one Lyapunov solve with the current closed loop.
 
     Returns the iterate with the smallest residual.  Quadratically
-    convergent, so one or two steps repair the accuracy loss that the
-    eigenvector extraction suffers at defective Hamiltonian eigenvalues.
+    convergent, so one or two steps repair the accuracy that the subspace
+    extraction loses at defective Hamiltonian eigenvalues.
     """
     best_p = p0
     best_res = np.linalg.norm(_are_residual(a, bbt, q, p0), "fro")
@@ -226,47 +196,16 @@ def _kleinman_refine(a, bbt, q, p0, tol, max_iter=12):
     return best_p
 
 
-def _stable_basis_sign(ham, n):
-    """Orthonormal basis of the stable invariant subspace via the matrix
-    sign function (Newton iteration with determinantal scaling).
-
-    Robust at defective eigenvalues, where plain eigenvector pairing
-    degenerates; requires only that no eigenvalue sits on the imaginary
-    axis, which the caller has already verified.
-    """
-    s = ham.copy()
-    m = ham.shape[0]
-    for _ in range(100):
-        try:
-            det = abs(np.linalg.det(s))
-            c = det ** (-1.0 / m) if det > 0.0 else 1.0
-            s_next = 0.5 * (c * s + np.linalg.inv(c * s))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"sign iteration broke down: {exc}") from exc
-        delta = np.linalg.norm(s_next - s, 1)
-        s = s_next
-        if delta <= 1e-14 * np.linalg.norm(s, 1):
-            break
-    if np.linalg.norm(s @ s - np.eye(m), 1) > 1e-6 * m:
-        raise NumericalError("sign iteration did not converge")
-    proj = 0.5 * (np.eye(m) - s)
-    u, sv, _ = np.linalg.svd(proj)
-    if not (sv[n - 1] > 0.5 > sv[n]):
-        raise AssumptionViolation(
-            "stabilizing-solution",
-            f"stable invariant subspace has dimension {int(np.sum(sv > 0.5))}, "
-            f"expected {n}")
-    return u[:, :n]
-
-
 def solve_are_q(a, bbt, q, tol=DEFAULT_TOL):
     """Stabilizing solution of ``A*X + XA - X BB* X + Q = 0`` with
     ``BB*``, ``Q`` symmetric PSD, via the stable invariant subspace of the
     Hamiltonian ``[[A, -BB*], [-Q, -A*]]`` plus Newton residual polish.
 
-    The subspace comes from eigenvector pairing when that basis is well
-    conditioned, and from the matrix sign function otherwise (defective
-    closed-loop spectra leave the eigenvector basis rank deficient).
+    The subspace basis is the leading n Schur vectors of the Hamiltonian's
+    real Schur form ordered with the open left half-plane first (Laub's
+    method, IEEE TAC 24(6), 1979).  It is orthonormal, so it stays well
+    conditioned at defective closed-loop eigenvalues, and cond(X11) of its
+    upper block measures how ill-conditioned P+ = X21 X11^{-1} is.
     """
     a = as_matrix(a, "A")
     bbt = sym(as_matrix(bbt, "BB*"))
@@ -280,40 +219,43 @@ def solve_are_q(a, bbt, q, tol=DEFAULT_TOL):
 
     ham = np.block([[a, -bbt], [-q, -a.T]])
     try:
-        eigvals, eigvecs = np.linalg.eig(ham)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Hamiltonian eigendecomposition failed: {exc}") from exc
+        t, z, n_stable = sla.schur(ham, output="real", sort="lhp")
+        eigvals = np.linalg.eigvals(t)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Hamiltonian Schur decomposition failed: {exc}") from exc
 
     on_axis = np.abs(eigvals.real) <= 1e-9 * (1.0 + np.abs(eigvals))
     if np.any(on_axis):
         raise AssumptionViolation(
             "stabilizing-solution",
             "Hamiltonian has eigenvalues on the imaginary axis")
-    stable = eigvals.real < 0.0
-    if int(np.sum(stable)) != n:
+    if n_stable != n:
         raise AssumptionViolation(
             "stabilizing-solution",
-            f"stable Hamiltonian subspace has dimension {int(np.sum(stable))}, expected {n}")
+            f"stable Hamiltonian subspace has dimension {n_stable}, expected {n}")
 
-    basis = eigvecs[:, stable]
-    x11 = basis[:n, :]
-    if smallest_singular_value(x11) == 0.0 or np.linalg.cond(x11) > 1e10:
-        basis = _stable_basis_sign(ham, n)
-        x11 = basis[:n, :]
-    x21 = basis[n:, :]
-    if smallest_singular_value(x11) == 0.0 or np.linalg.cond(x11) > 1e12:
+    x11 = z[:n, :n]
+    x21 = z[n:, :n]
+    sv = np.linalg.svd(x11, compute_uv=False)
+    if sv[-1] == 0.0:
         raise AssumptionViolation(
             "stabilizing-solution",
-            "stable-subspace basis is rank deficient (no stabilizing solution "
-            "for the given data)")
-    p = np.real(x21 @ np.linalg.inv(x11))
-    p = sym(p)
+            "stable-subspace basis X11 is exactly singular (no stabilizing "
+            "solution for the given data)")
+    cond_x11 = sv[0] / sv[-1]
+    if cond_x11 > 1e12:
+        raise NumericalError(
+            f"stable-subspace basis has cond(X11) = {cond_x11:.2e} > "
+            "1e12; the stabilizing solution is too ill-conditioned to compute")
+    p = sym(np.linalg.solve(x11.T, x21.T).T)
     p = _kleinman_refine(a, bbt, q, p, tol)
 
     resid = np.linalg.norm(_are_residual(a, bbt, q, p), "fro")
-    scale = 1.0 + np.linalg.norm(p, "fro")
-    if resid > tol.residual * scale:
-        raise NumericalError(f"ARE residual {resid:.3e} exceeds tolerance")
+    norm_p = np.linalg.norm(p, "fro")
+    if resid > tol.residual * (1.0 + norm_p):
+        raise NumericalError(
+            f"ARE residual {resid:.3e} exceeds tolerance (||P||_F = "
+            f"{norm_p:.2e}, cond(X11) = {cond_x11:.2e})")
     if spectral_abscissa(a - bbt @ p) >= 0.0:
         raise AssumptionViolation(
             "stabilizing-solution", "computed solution fails to stabilize the closed loop")

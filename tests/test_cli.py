@@ -166,6 +166,16 @@ class TestCommands:
         assert "convergence_condition: False" in out
         assert "envelope_holds: False" in out
 
+    def test_turnpike_prints_notes(self, tmp_path, capsys):
+        data = dict(ODE_SCENARIO, F=ODE_SCENARIO["C"], t1=40.0)
+        path = _write(tmp_path, "fc40.json", data)
+        assert main(["turnpike", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "lambda_hat: nan" in lines
+        notes = [line for line in lines if line.startswith("note: ")]
+        assert any("state distance" in n and "degeneracy floor" in n
+                   for n in notes)
+
     def test_tol_ode_override(self, tmp_path, capsys):
         path = _write(tmp_path, "ode.json", ODE_SCENARIO)
         assert main(["dre", str(path), "--tol-ode", "1e-6"]) == 0

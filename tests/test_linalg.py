@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import lqturnpike as lt
-from lqturnpike.errors import AssumptionViolation, DimensionError
+from lqturnpike.errors import AssumptionViolation, DimensionError, NumericalError
 from lqturnpike.linalg import psd_factor, solve_are_q
 
 from conftest import A_PLUS_ABC, P_PLUS_ABC, SQRT2, W_ABC
@@ -68,6 +69,20 @@ class TestLyapunov:
                 assert resid <= tol.residual * (1 + np.linalg.norm(x, "fro"))
                 assert lt.min_eig_sym(x) >= -tol.psd_slack
 
+    @pytest.mark.parametrize("n", [10, 40, 100])
+    def test_large_random_stable(self, n):
+        rng = np.random.default_rng(n)
+        tol = lt.Tolerances()
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        a -= (lt.spectral_abscissa(a) + 0.5) * np.eye(n)
+        g = rng.standard_normal((n, 3))
+        q = g @ g.T
+        x = lt.solve_lyapunov(a, q, tol)
+        assert np.abs(x - x.T).max() < 1e-12 * (1 + np.abs(x).max())
+        resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
+        assert resid <= tol.residual * (1 + np.linalg.norm(x, "fro"))
+        assert lt.min_eig_sym(x) >= -tol.psd_slack
+
     def test_unstable_rejected(self):
         with pytest.raises(AssumptionViolation):
             lt.solve_lyapunov([[1.0]], [[1.0]])
@@ -109,6 +124,32 @@ class TestAre:
                 a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c, "fro")
             assert resid <= tol.residual * (1 + np.linalg.norm(p, "fro"))
             assert lt.spectral_abscissa(a - b @ b.T @ p) < 0.0
+
+    @pytest.mark.parametrize("n", [10, 33])
+    def test_matches_scipy_care(self, n):
+        rng = np.random.default_rng([n, 0])
+        m = n // 3
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal((n, m))
+        c = rng.standard_normal((m, n))
+        p = solve_are_q(a, b @ b.T, c.T @ c)
+        expected = sla.solve_continuous_are(a, b, c.T @ c, np.eye(m))
+        assert (np.linalg.norm(p - expected, "fro")
+                <= 1e-8 * np.linalg.norm(expected, "fro"))
+        assert lt.spectral_abscissa(a - b @ b.T @ p) < 0.0
+
+    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_refused_as_such(self, n, seed):
+        # stabilizable and detectable, but ||P+|| is 1e8 to 1e14: the
+        # refusal must name the conditioning, not deny that P+ exists
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        b = rng.standard_normal((n, 2))
+        c = rng.standard_normal((2, n))
+        with pytest.raises(NumericalError, match=r"cond\(X11\)") as info:
+            lt.solve_are_stabilizing(a, b, c)
+        assert "no stabilizing solution" not in str(info.value)
 
     def test_imaginary_axis_detected(self):
         # undamped oscillator with no control authority and no weight

@@ -39,6 +39,44 @@ class TestSteadyState:
             scale = 1.0 + max(np.linalg.norm(st.x_s), np.linalg.norm(y_c))
             assert st.kkt_residual <= 1e-10 * scale
 
+    # n = 4 random standard plants with ||P+||_2 = 6.3e3 and 7.3e3, whose
+    # KKT rounding a residual bound without ||P+|| in its scale refused
+    LARGE_P_PLANTS = [
+        ([[0.19238277636430512, 1.1450118416473916, 0.2947287141023186, -0.539677582670274],
+          [-0.010085103585294916, 0.23314623899648365, 0.06799135468984613, 0.3691800549135973],
+          [0.10731919953741227, 0.4564029257194649, 0.4796554442096001, 0.3693430399769545],
+          [0.5126240347922301, 0.40346258434309124, 0.35428582785069557, -0.0502307577997301]],
+         [[0.13482997779710376], [0.49209358181578106], [-0.8019682735712876],
+          [-0.3106632775337892]],
+         [[0.6855165086629469, 0.09777818809182877, 0.41117687478178305, -0.5928238523614993]],
+         [1.394448044348605]),
+        ([[0.5313860167601421, -0.5512160268813809, 0.09189997619255363, 0.2392455977225911],
+          [0.037156274229951186, 0.033125638146316624, -0.025354702877981923, -0.4687404356739744],
+          [-0.09647470317844045, 0.1641359561672096, 0.8512375262057292, 0.33063104913747865],
+          [0.3354812444626457, -0.5983049793068828, -0.2928476719572339, -0.23875546187861152]],
+         [[0.35773908601455734], [0.565777051138869], [-0.7412242322721263],
+          [0.05005708975431682]],
+         [[0.03925612351672376, -0.7548579115028339, 0.3075540959171899, 0.5779783458682335]],
+         [2.172213759987061]),
+    ]
+
+    @pytest.mark.parametrize("a, b, c, y_c", LARGE_P_PLANTS)
+    def test_large_riccati_solution_accepted(self, a, b, c, y_c):
+        a, b, c, y_c = (np.array(m) for m in (a, b, c, y_c))
+        n, m = b.shape
+        plant = lt.LtiPlant(A=a, B=b, C=c, F=np.zeros((1, n)))
+        are = lt.stabilizing_solution(plant)
+        assert np.linalg.norm(are.P_plus, 2) > 6e3
+        st = lt.steady_state(plant, are, y_c)
+        # direct solve of the steady KKT system in (x, u, lambda)
+        kkt = np.block([[c.T @ c, np.zeros((n, m)), a.T],
+                        [np.zeros((m, n)), np.eye(m), b.T],
+                        [a, b, np.zeros((n, n))]])
+        rhs = np.concatenate([c.T @ y_c, np.zeros(m + n)])
+        x_direct = np.linalg.solve(kkt, rhs)[:n]
+        assert np.abs(st.x_s - x_direct).max() <= 1e-8 * max(
+            1.0, np.abs(x_direct).max())
+
 
 class TestFeedforward:
     def test_zero_targets(self, abc_fperp, are_abc, gram_abc):
