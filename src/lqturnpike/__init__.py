@@ -25,16 +25,14 @@ from .dae_riccati import (GareSolution, GdreSolution, StructuredDelta,
                           decoupled_closed_loop, reduced_coefficients,
                           solve_fast_block, solve_gare, solve_gdre,
                           structured_delta)
-from .dae_lqr import (DaeSteady, DaeTrajectory, dae_feedforward,
-                      dae_optimal_trajectory, dae_steady_state,
-                      dae_turnpike_report)
+from .dae_lqr import DaeSteady, dae_optimal_trajectory, dae_steady_state
 from .oracle import DiscretizedLQ, OracleSolution, transcribe_and_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreSolution", "AssumptionViolation", "DaeSteady", "DaeTrajectory",
-    "DescriptorPlant", "DimensionError", "DiscretizedLQ", "DreSolution",
+    "AreSolution", "AssumptionViolation", "DaeSteady", "DescriptorPlant",
+    "DimensionError", "DiscretizedLQ", "DreSolution",
     "FeedforwardTrajectory", "GareSolution", "GdreSolution", "GramianSet",
     "LtiPlant", "NumericalError", "OptimalTrajectory", "OracleSolution",
     "SemiExplicitPartition", "SingularBracketError", "SlidingTerminal",
@@ -42,9 +40,9 @@ __all__ = [
     "Tolerances", "ToolkitError", "TurnpikeReport",
     "check_convergence_condition", "check_F_compatible",
     "check_finite_dynamics_stable", "check_impulse_controllable",
-    "check_impulse_free", "check_pencil_regular", "dae_feedforward",
-    "dae_optimal_trajectory", "dae_steady_state", "dae_turnpike_report",
-    "decompose_state", "decoupled_closed_loop", "delta_formula", "expm",
+    "check_impulse_free", "check_pencil_regular", "dae_optimal_trajectory",
+    "dae_steady_state", "decompose_state", "decoupled_closed_loop",
+    "delta_formula", "expm",
     "feedforward", "fundamental_solution_U", "gramians", "integrate_ode",
     "min_eig_sym", "optimal_trajectory", "rank_svd", "reduced_coefficients",
     "sliding_terminal", "solve_are_stabilizing", "solve_dre",

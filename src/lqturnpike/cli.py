@@ -227,6 +227,16 @@ def _ode_are_bundle(sc):
     return are, gram, s, conv
 
 
+def _dae_convergence(gare, tol):
+    """True iff the generalized Riccati flow converges for the plant's
+    terminal weight (the reduced convergence condition holds)."""
+    try:
+        dae_riccati.structured_delta(gare, gare.partition.S1, tol)
+    except AssumptionViolation:
+        return False
+    return True
+
+
 def cmd_are(sc, args):
     if sc.kind == "ode":
         are, gram, s, conv = _ode_are_bundle(sc)
@@ -238,11 +248,7 @@ def cmd_are(sc, args):
         ])
     else:
         gare = dae_riccati.solve_gare(sc.plant, sc.tol)
-        try:
-            dae_riccati.structured_delta(gare, gare.partition.S1, sc.tol)
-            conv = True
-        except AssumptionViolation:
-            conv = False
+        conv = _dae_convergence(gare, sc.tol)
         _print_report([
             ("norm_P_plus_fro", _fmt(np.linalg.norm(gare.P_plus, "fro"))),
             ("norm_P1_fro", _fmt(np.linalg.norm(gare.P1, "fro"))),
@@ -273,19 +279,14 @@ def cmd_dre(sc, args):
 
 
 def _solve_trajectory(sc, grid):
-    if sc.kind == "ode":
-        traj = lqr.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
-                                      grid, sc.tol)
-        return traj.grid, traj.x, traj.u, traj.y, traj.cost, traj
-    traj = dae_lqr.dae_optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e,
-                                          sc.t1, grid, sc.tol)
-    x = traj.x
-    return traj.grid, x, traj.u, x @ sc.plant.C.T, traj.cost, traj
+    return lqr.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1, grid,
+                                  sc.tol)
 
 
 def cmd_simulate(sc, args):
     grid = args.grid or sc.grid
-    ts, xs, us, ys, cost, _ = _solve_trajectory(sc, grid)
+    traj = _solve_trajectory(sc, grid)
+    ts, xs, us, ys = traj.grid, traj.x, traj.u, traj.y
     n, m, k = xs.shape[1], us.shape[1], ys.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]
               + [f"u_{i + 1}" for i in range(m)]
@@ -294,7 +295,7 @@ def cmd_simulate(sc, args):
             for t, x, u, y in zip(ts, xs, us, ys))
     out = _out_dir(args, sc) / f"{sc.path.stem}_trajectory.csv"
     write_csv(out, header, rows)
-    _print_report([("cost", _fmt(cost)), ("csv", out)])
+    _print_report([("cost", _fmt(traj.cost)), ("csv", out)])
     return 0
 
 
@@ -303,28 +304,19 @@ def cmd_turnpike(sc, args):
     if sc.kind == "ode":
         are, gram, s, conv = _ode_are_bundle(sc)
         steady = lqr.steady_state(sc.plant, are, sc.y_c, sc.tol)
-        traj = lqr.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
-                                      grid, sc.tol)
-        remainder = None
-        if conv:
-            dec = lqr.decompose_state(traj, are, gram, s, steady, sc.tol)
-            remainder = np.linalg.norm(dec.g, axis=1)
-        report = lqr.turnpike_report(traj, steady, lam=are.lam,
-                                     remainder=remainder)
         lam_theory = are.lam
     else:
         gare = dae_riccati.solve_gare(sc.plant, sc.tol)
         steady = dae_lqr.dae_steady_state(gare, sc.y_c, sc.tol)
-        traj = dae_lqr.dae_optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e,
-                                              sc.t1, grid, sc.tol)
-        report = dae_lqr.dae_turnpike_report(traj, steady,
-                                             lambda_bar=gare.lambda_bar)
-        try:
-            dae_riccati.structured_delta(gare, gare.partition.S1, sc.tol)
-            conv = True
-        except AssumptionViolation:
-            conv = False
+        conv = _dae_convergence(gare, sc.tol)
         lam_theory = gare.lambda_bar
+    traj = _solve_trajectory(sc, grid)
+    remainder = None
+    if sc.kind == "ode" and conv:
+        dec = lqr.decompose_state(traj, are, gram, s, steady, sc.tol)
+        remainder = np.linalg.norm(dec.g, axis=1)
+    report = lqr.turnpike_report(traj, steady, lam=lam_theory,
+                                 remainder=remainder)
     out = _out_dir(args, sc) / f"{sc.path.stem}_turnpike.csv"
     write_csv(out, ["t", "dist_x", "dist_u", "envelope"],
               zip(traj.grid, report.dist_x, report.dist_u, report.envelope))
@@ -345,7 +337,8 @@ def cmd_oracle(sc, args):
     steps = args.steps or 500
     sol = oracle.transcribe_and_solve(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
                                       steps, sc.tol)
-    ts, xs, us, _, cost, _ = _solve_trajectory(sc, steps + 1)
+    traj = _solve_trajectory(sc, steps + 1)
+    ts, xs, cost = traj.grid, traj.x, traj.cost
     err_x = np.linalg.norm(xs - sol.x, axis=1)
     header = ["t"]
     n = xs.shape[1]

@@ -1,20 +1,17 @@
-"""Affine finite-horizon optimal control for descriptor plants through the
-decoupled closed loop: the differential state follows a reduced ODE problem,
-the algebraic state and the second feedforward block are slaved pointwise.
+"""Steady state of the descriptor turnpike.  Finite-horizon trajectories of
+descriptor plants come from ``lqr.optimal_trajectory``, the pipeline both
+plant kinds share; ``dae_optimal_trajectory`` is that same function.
 """
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .integrate import CubicHermite, integrate_ode
-from .linalg import DEFAULT_TOL, as_vector, sym
-from .lqr import _running_cost, turnpike_report
-from .dae_riccati import solve_gare
+from .linalg import DEFAULT_TOL, as_vector
+from .lqr import optimal_trajectory
 
-logger = logging.getLogger(__name__)
+dae_optimal_trajectory = optimal_trajectory
 
 
 @dataclass(frozen=True)
@@ -30,38 +27,11 @@ class DaeSteady:
     residual: float
 
 
-@dataclass(frozen=True)
-class DaeFeedforward:
-    grid: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-
-@dataclass
-class DaeTrajectory:
-    grid: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    u: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    cost: float
-    algebraic_residual: float
-    notes: list = field(default_factory=list)
-
-    @property
-    def x(self):
-        return np.hstack([self.x1, self.x2])
-
-
 def _steady_parts(gare, y_c):
     """Constant feedforward parts (w_s1, w_s2) for target y_c."""
     g = gare
     w_s1 = np.linalg.solve(g.A_bar.T, g.C_bar.T @ y_c)
-    if g.A_p2.shape[0]:
-        w_s2 = np.linalg.solve(g.A_p2.T, g.partition.C2.T @ y_c)
-    else:
-        w_s2 = np.zeros(0)
+    w_s2 = np.linalg.solve(g.A_p2.T, g.partition.C2.T @ y_c)
     return w_s1, w_s2
 
 
@@ -73,13 +43,10 @@ def dae_steady_state(gare, y_c, tol=DEFAULT_TOL):
     g = gare
     part = g.partition
     w_s1, w_s2 = _steady_parts(g, y_c)
-    drive = g.B_bar.T @ w_s1 + (part.B2.T @ w_s2 if w_s2.size else 0.0)
+    drive = g.B_bar.T @ w_s1 + part.B2.T @ w_s2
     x_s1 = np.linalg.solve(g.A_bar, g.B_bar @ drive)
-    if g.A_p2.shape[0]:
-        x_s2 = (-np.linalg.solve(g.A_p2, g.A_p21 @ x_s1)
-                + np.linalg.solve(g.A_p2, part.B2 @ drive))
-    else:
-        x_s2 = np.zeros(0)
+    x_s2 = (-np.linalg.solve(g.A_p2, g.A_p21 @ x_s1)
+            + np.linalg.solve(g.A_p2, part.B2 @ drive))
     x_s = np.concatenate([x_s1, x_s2])
     u_s = -(g.plant.B.T @ (g.P_plus @ x_s)) - drive
 
@@ -90,196 +57,3 @@ def dae_steady_state(gare, y_c, tol=DEFAULT_TOL):
             f"descriptor steady residual {resid:.3e} exceeds 1e-10 x scale")
     return DaeSteady(x_s=x_s, u_s=u_s, x_s1=x_s1, w_s1=w_s1, w_s2=w_s2,
                      residual=resid)
-
-
-def _w1_field(gare, delta_or_p1, y_c, t1):
-    """Right side of the backward w1 equation
-    -w1dot = (Abar* - PD1(t) Bbar Bbar*) w1 - Cbar* y_c - PD1(t) Bbar B2* A+2^{-*} C2* y_c.
-
-    ``delta_or_p1`` maps t to the differential block of P(t) - P+.
-    """
-    g = gare
-    part = g.partition
-    cy = g.C_bar.T @ y_c
-    if g.A_p2.shape[0]:
-        tail = part.B2.T @ np.linalg.solve(g.A_p2.T, part.C2.T @ y_c)
-    else:
-        tail = np.zeros(part.B1.shape[1])
-    bbar = g.B_bar
-
-    def field(t, w1):
-        pd1 = delta_or_p1(t)
-        return -((g.A_bar.T - pd1 @ bbar @ bbar.T) @ w1 - cy
-                 - pd1 @ (bbar @ tail))
-
-    return field
-
-
-def dae_feedforward(plant, gare, delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
-    """Feedforward pair (w1, w2): w1 by backward integration of the reduced
-    adjoint equation from the compatible terminal value, w2 slaved
-    pointwise."""
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
-    part = gare.partition
-
-    field = _w1_field(gare, lambda t: delta.delta1(t, t1), y_c, t1)
-    w1_end = -part.F1.T @ y_e
-    try:
-        ts, w1s = integrate_ode(field, w1_end, t1, 0.0, tol=tol, grid=grid)
-    except NumericalError as exc:
-        raise NumericalError(f"feedforward integration failed: {exc}") from exc
-    order = np.argsort(ts)
-    ts, w1s = ts[order], w1s[order]
-    w2s = _w2_of(gare, w1s, y_c)
-    return DaeFeedforward(grid=ts, w1=w1s, w2=w2s)
-
-
-def _w2_of(gare, w1s, y_c):
-    """w2 = -A+2^{-*} A+12* w1 + A+2^{-*} C2* y_c at every sample."""
-    g = gare
-    if not g.A_p2.shape[0]:
-        return np.zeros((w1s.shape[0], 0))
-    const = np.linalg.solve(g.A_p2.T, g.partition.C2.T @ y_c)
-    coef = -np.linalg.solve(g.A_p2.T, g.A_p12.T)
-    return w1s @ coef.T + const
-
-
-def dae_optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
-    """Solve the affine descriptor problem via the decoupling: backward
-    (P1, w1) pass on a refined grid, forward x1 pass, then pointwise
-    reconstruction of x2, w2 and the input."""
-    x0 = as_vector(x0, "x0")
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
-    if x0.size != plant.n:
-        raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
-
-    gare = solve_gare(plant, tol)
-    part = gare.partition
-    d = part.d
-
-    refine = max(1, int(np.ceil(800 / (grid - 1))))
-    fine = refine * (grid - 1) + 1
-
-    # joint backward pass for (P1, w1); needs only global gDRE solvability,
-    # not the convergence condition
-    a_t, r_t, q_t = gare.reduced.A_t, gare.reduced.R_t, gare.reduced.Q_t
-    cy = gare.C_bar.T @ y_c
-    if gare.A_p2.shape[0]:
-        tail = part.B2.T @ np.linalg.solve(gare.A_p2.T, part.C2.T @ y_c)
-    else:
-        tail = np.zeros(part.B1.shape[1])
-    bbar = gare.B_bar
-
-    def joint(t, z):
-        p1 = sym(z[:d * d].reshape(d, d))
-        w1 = z[d * d:]
-        p1dot = -(a_t.T @ p1 + p1 @ a_t - p1 @ r_t @ p1 + q_t)
-        pd1 = p1 - gare.P1
-        w1dot = -((gare.A_bar.T - pd1 @ bbar @ bbar.T) @ w1 - cy
-                  - pd1 @ (bbar @ tail))
-        return np.concatenate([p1dot.ravel(), w1dot])
-
-    def project(z):
-        z = z.copy()
-        z[:d * d] = sym(z[:d * d].reshape(d, d)).ravel()
-        return z
-
-    z1 = np.concatenate([sym(part.S1).ravel(), -part.F1.T @ y_e])
-    try:
-        ts_f, zs = integrate_ode(joint, z1, t1, 0.0, tol=tol, grid=fine,
-                                 postprocess=project)
-    except NumericalError as exc:
-        raise NumericalError(f"backward pass failed: {exc}") from exc
-    order = np.argsort(ts_f)
-    ts_f, zs = ts_f[order], zs[order]
-    zdot = np.array([joint(t, z) for t, z in zip(ts_f, zs)])
-    z_interp = CubicHermite(ts_f, zs, zdot)
-
-    def x1_field(t, x1):
-        z = z_interp(t)
-        p1 = z[:d * d].reshape(d, d)
-        w1 = z[d * d:]
-        pd1 = sym(p1) - gare.P1
-        return ((gare.A_bar - bbar @ bbar.T @ pd1) @ x1
-                - bbar @ (bbar.T @ w1) - bbar @ tail)
-
-    x1_0 = x0[:d]
-    if plant.n > d and np.any(x0[d:]):
-        logger.info("supplied algebraic initial values are overridden by the "
-                    "consistency relation")
-    try:
-        ts, x1s = integrate_ode(x1_field, x1_0, 0.0, t1, tol=tol, grid=grid)
-    except NumericalError as exc:
-        raise NumericalError(f"state integration failed: {exc}") from exc
-
-    z_nodes = zs[::refine]
-    p1_nodes = z_nodes[:, :d * d].reshape(grid, d, d)
-    w1_nodes = z_nodes[:, d * d:]
-    w2_nodes = _w2_of(gare, w1_nodes, y_c)
-
-    n2 = plant.n - d
-    x2s = np.zeros((grid, n2))
-    us = np.zeros((grid, plant.m))
-    if n2:
-        x2_const = np.linalg.solve(
-            gare.A_p2, part.B2 @ (part.B2.T @ np.linalg.solve(
-                gare.A_p2.T, part.C2.T @ y_c)))
-    for i in range(grid):
-        pd1 = sym(p1_nodes[i]) - gare.P1
-        if n2:
-            x2s[i] = (-np.linalg.solve(gare.A_p2, gare.A_p21 @ x1s[i])
-                      + np.linalg.solve(
-                          gare.A_p2,
-                          part.B2 @ (bbar.T @ (pd1 @ x1s[i] + w1_nodes[i])))
-                      + x2_const)
-        p_full = np.zeros((plant.n, plant.n))
-        p_full[:d, :d] = sym(p1_nodes[i])
-        p_full[d:, :d] = _p21_at(gare, sym(p1_nodes[i]))
-        p_full[d:, d:] = gare.P2
-        x_full = np.concatenate([x1s[i], x2s[i]])
-        w_full = np.concatenate([w1_nodes[i], w2_nodes[i]])
-        us[i] = -plant.B.T @ (p_full @ x_full + w_full)
-
-    alg = np.array([part.A21 @ x1s[i] + part.A22 @ x2s[i] + part.B2 @ us[i]
-                    for i in range(grid)]) if n2 else np.zeros((grid, 0))
-    alg_resid = float(np.max(np.linalg.norm(alg, axis=1))) if n2 else 0.0
-    scale = 1.0 + float(np.max(np.abs(x1s)))
-    if alg_resid > 1e-8 * scale:
-        raise NumericalError(
-            f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
-
-    ys = np.hstack([x1s, x2s]) @ plant.C.T
-    cost = _running_cost(ts, ys, us, y_c) + 0.5 * float(
-        np.sum((plant.F @ np.concatenate([x1s[-1], x2s[-1]]) - y_e) ** 2))
-    traj = DaeTrajectory(grid=ts, x1=x1s, x2=x2s, u=us, w1=w1_nodes,
-                         w2=w2_nodes, cost=float(cost),
-                         algebraic_residual=alg_resid)
-    if plant.n > d and np.any(x0[d:]):
-        traj.notes.append("algebraic initial values recomputed from the "
-                          "consistency relation")
-    return traj
-
-
-def _p21_at(gare, p1):
-    red = gare.reduced
-    if red.K2.shape[0] == 0:
-        return np.zeros((0, p1.shape[0]))
-    return -np.linalg.solve(red.K2, red.M @ p1 + red.N)
-
-
-def dae_turnpike_report(traj, steady, lambda_bar=None, remainder=None):
-    """Turnpike diagnostics on the stacked descriptor trajectory."""
-
-    class _View:
-        grid = traj.grid
-        x = traj.x
-        u = traj.u
-
-    class _SteadyView:
-        x_s = steady.x_s
-        u_s = steady.u_s
-
-    return turnpike_report(_View(), _SteadyView(), lam=lambda_bar,
-                           remainder=remainder)

@@ -18,7 +18,7 @@ from .linalg import (DEFAULT_TOL, min_eig_sym, smallest_singular_value,
                      solve_are_q, solve_lyapunov, spectral_abscissa, sym)
 from .plants import (check_F_compatible, check_impulse_controllable,
                      check_pencil_regular)
-from .riccati import GramianSet, SlidingTerminal
+from .riccati import AreSolution, GramianSet, SlidingTerminal, _fd_defect
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,6 @@ class StructuredDelta:
     def coupling(self):
         """Factor L with P_delta;21 = L @ P_delta;1."""
         g = self.gare
-        if g.A_p2.shape[0] == 0:
-            return np.zeros((0, g.A_bar.shape[0]))
         return -np.linalg.solve(g.A_p2.T, g.A_p12.T)
 
     def full(self, t, t1):
@@ -136,8 +134,6 @@ class DecoupledClosedLoop:
 
     def A2_hat(self, t, t1):
         g = self.gare
-        if g.A_p2.shape[0] == 0:
-            return np.zeros((0, g.A_bar.shape[0]))
         base = -np.linalg.solve(g.A_p2, g.A_p21)
         corr = np.linalg.solve(g.A_p2, g.partition.B2)
         return base + corr @ (g.B_bar.T @ self.delta.delta1(t, t1))
@@ -240,9 +236,7 @@ def _require_k2(a22, b2, p2, tol):
 
 
 def _k2_of(a22, b2, p2):
-    if b2.size:
-        return a22.T - p2.T @ b2 @ b2.T
-    return a22.T.copy()
+    return a22.T - p2.T @ b2 @ b2.T
 
 
 def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
@@ -258,17 +252,10 @@ def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
 
     Qt must be positive semidefinite for global solvability.
     """
-    d = part.d
     a11, a12, a21, a22 = part.A11, part.A12, part.A21, part.A22
     b1, b2, c1, c2 = part.B1, part.B2, part.C1, part.C2
-    if a22.shape[0] == 0:
-        q_t = sym(c1.T @ c1)
-        return ReducedCoefficients(
-            A_t=a11.copy(), G=b1.copy(), R_t=b1 @ b1.T, Q_t=q_t,
-            K2=np.zeros((0, 0)), M=np.zeros((0, d)), N=np.zeros((0, d)))
-
     k2 = _k2_of(a22, b2, p2)
-    m = a12.T - (p2.T @ b2 @ b1.T if b2.size else np.zeros((a22.shape[0], d)))
+    m = a12.T - p2.T @ b2 @ b1.T
     n_mat = p2.T @ a21 + c2.T @ c1
 
     k2_inv_n = np.linalg.solve(k2, n_mat)
@@ -289,9 +276,10 @@ def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
                                M=m, N=n_mat)
 
 
-def solve_gare(plant, tol=DEFAULT_TOL):
-    """Stabilizing solution of the generalized algebraic Riccati equation via
-    the block reduction, with all structural certificates verified."""
+def _require_structure(plant, tol):
+    """Refuse a descriptor plant whose pencil is singular, which is not
+    impulse controllable, or whose terminal weight acts on algebraic
+    variables."""
     if not check_pencil_regular(plant.E, plant.A, tol):
         raise AssumptionViolation("regularity", "pencil sE - A is singular")
     if not check_impulse_controllable(plant.E, plant.A, plant.B, tol):
@@ -302,13 +290,18 @@ def solve_gare(plant, tol=DEFAULT_TOL):
             "terminal-compatibility",
             "terminal weight acts on algebraic variables")
 
+
+def solve_gare(plant, tol=DEFAULT_TOL):
+    """Stabilizing solution of the generalized algebraic Riccati equation via
+    the block reduction, with all structural certificates verified."""
+    _require_structure(plant, tol)
     part = plant.partition()
     d, n = part.d, plant.n
     p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
     red = reduced_coefficients(part, p2, tol)
 
     p1 = solve_are_q(red.A_t, red.R_t, red.Q_t, tol)
-    p21 = _coupling_block(red, part, p2, p1)
+    p21 = _coupling_block(red, p1)
 
     p_plus = np.zeros((n, n))
     p_plus[:d, :d] = p1
@@ -333,12 +326,9 @@ def solve_gare(plant, tol=DEFAULT_TOL):
     if not check_pencil_regular(plant.E, a_plus, tol):
         raise AssumptionViolation("regularity", "closed-loop pencil singular")
 
-    if a_p2.shape[0]:
-        a_bar = a_p1 - a_p12 @ np.linalg.solve(a_p2, a_p21)
-        b_bar = part.B1 - a_p12 @ np.linalg.solve(a_p2, part.B2)
-        c_bar = part.C1 - part.C2 @ np.linalg.solve(a_p2, a_p21)
-    else:
-        a_bar, b_bar, c_bar = a_p1, part.B1, part.C1
+    a_bar = a_p1 - a_p12 @ np.linalg.solve(a_p2, a_p21)
+    b_bar = part.B1 - a_p12 @ np.linalg.solve(a_p2, part.B2)
+    c_bar = part.C1 - part.C2 @ np.linalg.solve(a_p2, a_p21)
     lam_bar = spectral_abscissa(a_bar)
     if lam_bar >= 0.0:
         raise AssumptionViolation(
@@ -359,10 +349,9 @@ def gare_residual(plant, p):
     return float(np.linalg.norm(r, "fro"))
 
 
-def _coupling_block(red, part, p2, p1):
-    """P21 = -K2^{-1}((A12* - P2* B2 B1*) P1 + P2* A21 + C2* C1)."""
-    if red.K2.shape[0] == 0:
-        return np.zeros((0, part.d))
+def _coupling_block(red, p1):
+    """P21 = -K2^{-1}((A12* - P2* B2 B1*) P1 + P2* A21 + C2* C1), for one P1
+    or a stack of them."""
     return -np.linalg.solve(red.K2, red.M @ p1 + red.N)
 
 
@@ -390,29 +379,16 @@ def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
     order = np.argsort(ts)
     ts, p1s = ts[order], p1s[order]
     p1s[-1] = s1
-    p21s = np.array([_coupling_block(red, part, gare.P2, p1) for p1 in p1s])
+    p21s = _coupling_block(red, p1s)
     return GdreSolution(t1=float(t1), grid=ts, P1=p1s, P21=p21s, P2=gare.P2,
                         S1=s1, A_t=a_t, R_t=r_t, Q_t=q_t, gare=gare)
 
 
 def gdre_fd_residual(gdre, plant, tol=DEFAULT_TOL):
     """Centered finite-difference defect of the assembled generalized Riccati
-    trajectory, with the truncation-aware bound (cp. dre_fd_residual)."""
-    a, b, c, e = plant.A, plant.B, plant.C, plant.E
-    bbt = b @ b.T
-    q = c.T @ c
-    grid = gdre.grid
-    h = grid[1] - grid[0]
-    ps = np.array([gdre.assemble(i) for i in range(len(grid))])
-    rhs = np.array([-(a.T @ p + p.T @ a - p.T @ bbt @ p + q) for p in ps])
-    fd = e.T @ (ps[2:] - ps[:-2]) / (2.0 * h)
-    defect = fd - rhs[1:-1]
-    resid = float(np.max(np.linalg.norm(defect, axis=(1, 2))))
-    d2 = np.abs(rhs[2:] - 2.0 * rhs[1:-1] + rhs[:-2]) / h ** 2
-    p3 = float(np.max(np.linalg.norm(d2, axis=(1, 2)))) if len(d2) else 0.0
-    scale = 1.0 + float(np.max(np.linalg.norm(ps, axis=(1, 2))))
-    bound = (h ** 2 / 6.0) * p3 * 2.0 + 10.0 * tol.ode_rel * scale + 10.0 * tol.ode_abs
-    return resid, bound
+    trajectory, with the truncation-aware bound of ``dre_fd_residual``."""
+    ps = np.array([gdre.assemble(i) for i in range(len(gdre.grid))])
+    return _fd_defect(gdre.grid, ps, plant, plant.E, tol)
 
 
 def structured_delta(gare, s1, tol=DEFAULT_TOL):
@@ -435,13 +411,12 @@ def structured_delta(gare, s1, tol=DEFAULT_TOL):
             "I + Wbar (S1 - P1+) is singular; the generalized Riccati flow "
             "does not converge for this terminal weight")
 
-    class _ReducedAre:
-        P_plus = gare.P1
-        A_plus = gare.A_bar
-        lam = gare.lambda_bar
-        residual = 0.0
-
-    sliding = SlidingTerminal(S=s1, are=_ReducedAre(), gram=gram_bar, tol=tol)
+    red, p1 = gare.reduced, gare.P1
+    resid = np.linalg.norm(red.A_t.T @ p1 + p1 @ red.A_t
+                           - p1 @ red.R_t @ p1 + red.Q_t, "fro")
+    reduced_are = AreSolution(P_plus=p1, A_plus=gare.A_bar,
+                              lam=gare.lambda_bar, residual=float(resid))
+    sliding = SlidingTerminal(S=s1, are=reduced_are, gram=gram_bar, tol=tol)
     return StructuredDelta(gare=gare, S1=s1, sliding=sliding, gram_bar=gram_bar)
 
 

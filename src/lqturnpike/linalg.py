@@ -270,20 +270,3 @@ def solve_are_stabilizing(a, b, c, tol=DEFAULT_TOL):
     if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
         raise DimensionError("A, B, C dimensions are inconsistent")
     return solve_are_q(a, b @ b.T, c.T @ c, tol)
-
-
-def psd_factor(q, tol=DEFAULT_TOL):
-    """Factor a symmetric PSD matrix as ``G G*`` via its eigendecomposition.
-
-    Eigenvalues below ``-psd_slack`` raise; small negative ones are clipped.
-    """
-    q = sym(as_matrix(q, "Q"))
-    if q.shape[0] == 0:
-        return np.zeros((0, 0))
-    w, v = np.linalg.eigh(q)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if w.size and w[0] < -tol.psd_slack * scale:
-        raise AssumptionViolation(
-            "definiteness", f"matrix has eigenvalue {w[0]:.3e}, not PSD")
-    w = np.clip(w, 0.0, None)
-    return v @ np.diag(np.sqrt(w))

@@ -1,16 +1,24 @@
-"""Affine finite-horizon LQR for standard plants: steady state, feedforward
-(closed forms plus an integration cross-check), optimal trajectories, the
-state decomposition around the steady state, and turnpike diagnostics.
+"""Affine finite-horizon LQR: the optimal-trajectory pipeline shared by
+standard plants (the d = n case) and semi-explicit descriptor plants, and for
+standard plants the steady state, the feedforward closed forms with an
+integration cross-check, the state decomposition around the steady state,
+and turnpike diagnostics.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dae_riccati import (_coupling_block, _require_structure,
+                          reduced_coefficients, solve_fast_block)
 from .errors import NumericalError
 from .integrate import CubicHermite, integrate_ode
 from .linalg import DEFAULT_TOL, as_vector, expm, sym
-from .riccati import dre_rhs, fundamental_solution_U
+from .plants import LtiPlant, wrap_standard
+from .riccati import fundamental_solution_U
+
+logger = logging.getLogger(__name__)
 
 _DEGENERATE_DIST = 1e-14
 _DIP_FRACTION = 0.05
@@ -42,13 +50,37 @@ class FeedforwardTrajectory:
 
 @dataclass(frozen=True)
 class OptimalTrajectory:
+    """Optimal trajectory on the output grid.  The first ``d`` state and
+    feedforward components are the differential block (d = n for a standard
+    plant); ``algebraic_residual`` is the largest residual of the algebraic
+    equations over the nodes."""
+
     grid: np.ndarray
     x: np.ndarray           # (G, n)
     u: np.ndarray           # (G, m)
     y: np.ndarray           # (G, k)
     w: np.ndarray           # (G, n) feedforward along the trajectory
-    P: np.ndarray           # (G, n, n) Riccati samples used by the feedback
+    P: np.ndarray           # (G, n, n) Riccati samples [[P1, 0], [P21, P2]]
     cost: float
+    d: int
+    algebraic_residual: float
+    notes: list = field(default_factory=list)
+
+    @property
+    def x1(self):
+        return self.x[:, :self.d]
+
+    @property
+    def x2(self):
+        return self.x[:, self.d:]
+
+    @property
+    def w1(self):
+        return self.w[:, :self.d]
+
+    @property
+    def w2(self):
+        return self.w[:, self.d:]
 
 
 @dataclass(frozen=True)
@@ -137,9 +169,8 @@ def _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1):
 
 
 def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
-    """Feedforward trajectory by the closed forms, cross-checked against a
-    backward integration of the adjoint equation driven by the integrated
-    Riccati solution."""
+    """Feedforward trajectory by the closed forms, cross-checked against the
+    backward (P, w) pass of ``optimal_trajectory`` on the same grid."""
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")
     ts = np.linspace(0.0, t1, grid)
@@ -149,87 +180,142 @@ def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
         w_h[i], w_p[i] = _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1)
     w = w_h + w_p
 
-    _, _, w_int = _backward_riccati_feedforward(plant, y_c, y_e, t1, grid, tol)
+    _, part, _, red = _reduce(plant, tol)
+    _, zs, _, _ = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
+    w_int = zs[:, plant.n * plant.n:]
     return FeedforwardTrajectory(
         grid=ts, w=w, w_h=w_h, w_p=w_p, w_integrated=w_int,
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))
 
 
-def _backward_riccati_feedforward(plant, y_c, y_e, t1, grid, tol):
-    """Joint backward integration of (P, w) from (F*F, -F*y_e); returns
-    ascending (ts, P, w) samples."""
-    n = plant.n
-    a, bbt, q = plant.A, plant.B @ plant.B.T, plant.C.T @ plant.C
-    cy = plant.C.T @ y_c
-    p_field = dre_rhs(plant)
+def _reduce(plant, tol):
+    """Block reduction shared by both plant kinds: an ``LtiPlant`` is taken
+    as its d = n descriptor plant, a descriptor plant must pass the
+    structural checks.  Returns (descriptor plant, partition, P2, reduced
+    coefficients); the fast block and the reduced weight refuse by name."""
+    if isinstance(plant, LtiPlant):
+        plant = wrap_standard(plant)
+    else:
+        _require_structure(plant, tol)
+    part = plant.partition()
+    p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
+    return plant, part, p2, reduced_coefficients(part, p2, tol)
 
-    def joint(t, z):
-        p = sym(z[:n * n].reshape(n, n))
-        w = z[n * n:]
-        pdot = p_field(t, p)
-        wdot = -((a.T - p @ bbt) @ w - cy)
-        return np.concatenate([pdot.ravel(), wdot])
 
-    def project(z):
-        z = z.copy()
-        z[:n * n] = sym(z[:n * n].reshape(n, n)).ravel()
-        return z
+def _backward_pass(part, red, y_c, y_e, t1, grid, tol):
+    """Joint backward integration of the reduced Riccati and feedforward
+    equations from P1(t1) = S1, w1(t1) = -F1* y_e:
 
-    z1 = np.concatenate([sym(plant.terminal_weight).ravel(), -plant.F.T @ y_e])
+        -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt,
+        -w1dot = (At - Rt P1)* w1 - P1 G z - c_t,
+
+    with z = B2* K2^{-1} C2* y_c, c_t = C1* y_c - A21* K2^{-1} C2* y_c - g2 z
+    and g2 = N* K2^{-*} B2.  Returns the ascending nodes, the samples (P1
+    flattened, then w1, per row), the joint field and G z.
+    """
+    d = part.d
+    a_t, r_t, q_t = red.A_t, red.R_t, red.Q_t
+    k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
+    z = part.B2.T @ k2_cy
+    g2 = np.linalg.solve(red.K2, red.N).T @ part.B2
+    c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
+    gz = red.G @ z
+
+    def joint(t, zz):
+        p1 = sym(zz[:d * d].reshape(d, d))
+        w1 = zz[d * d:]
+        p1dot = -(a_t.T @ p1 + p1 @ a_t - p1 @ r_t @ p1 + q_t)
+        w1dot = -((a_t.T - p1 @ r_t) @ w1 - p1 @ gz - c_t)
+        return np.concatenate([p1dot.ravel(), w1dot])
+
+    def project(zz):
+        zz = zz.copy()
+        zz[:d * d] = sym(zz[:d * d].reshape(d, d)).ravel()
+        return zz
+
+    z1 = np.concatenate([sym(part.S1).ravel(), -part.F1.T @ y_e])
     try:
         ts, zs = integrate_ode(joint, z1, t1, 0.0, tol=tol, grid=grid,
                                postprocess=project)
     except NumericalError as exc:
-        raise NumericalError(f"feedforward integration failed: {exc}") from exc
+        raise NumericalError(f"backward pass failed: {exc}") from exc
     order = np.argsort(ts)
-    zs = zs[order]
-    return ts[order], zs[:, :n * n].reshape(grid, n, n), zs[:, n * n:]
+    return ts[order], zs[order], joint, gz
 
 
 def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
-    """Solve the affine finite-horizon problem: backward Riccati/feedforward
-    pass on a refined grid, then a forward closed-loop state pass.
+    """Solve the affine finite-horizon problem for a standard plant (the
+    n2 = 0 case) or a semi-explicit descriptor plant.
 
-    The refined backward samples enter the forward pass through a cubic
-    Hermite interpolant with exact nodal slopes.
+    One backward (P1, w1) pass on the reduced coefficients over a refined
+    grid, one forward pass x1dot = (At - Rt P1) x1 - Rt w1 - G z, in which
+    the refined backward samples enter through a cubic Hermite interpolant
+    with exact nodal slopes, then the slaved blocks at the output nodes:
+    P21 = -K2^{-1}(M P1 + N), w2 = K2^{-1}(C2* y_c - M w1),
+    x2 = -K2^{-*}[(A21 - B2 L1) x1 - B2 B* w] with L1 = B1* P1 + B2* P21,
+    and u = -B*(P x + w).  No algebraic Riccati equation is solved.
+    Supplied algebraic initial values are replaced by the consistent ones,
+    with a note on the result.
     """
     x0 = as_vector(x0, "x0")
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")
     if x0.size != plant.n:
         raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
-    n, refine = plant.n, max(1, int(np.ceil(800 / (grid - 1))))
+    plant, part, p2, red = _reduce(plant, tol)
+    n, d = plant.n, part.d
+    refine = max(1, int(np.ceil(800 / (grid - 1))))
     fine = refine * (grid - 1) + 1
 
-    ts_f, p_f, w_f = _backward_riccati_feedforward(plant, y_c, y_e, t1, fine, tol)
-    a, b = plant.A, plant.B
-    bbt = b @ b.T
-    cy = plant.C.T @ y_c
-    p_field = dre_rhs(plant)
-    pdot_f = np.array([p_field(t, p) for t, p in zip(ts_f, p_f)])
-    wdot_f = np.array([-((a.T - p @ bbt) @ w - cy)
-                       for p, w in zip(p_f, w_f)])
-    p_interp = CubicHermite(ts_f, p_f.reshape(fine, -1), pdot_f.reshape(fine, -1))
-    w_interp = CubicHermite(ts_f, w_f, wdot_f)
+    ts_f, zs, joint, gz = _backward_pass(part, red, y_c, y_e, t1, fine, tol)
+    zdot = np.array([joint(t, z) for t, z in zip(ts_f, zs)])
+    z_interp = CubicHermite(ts_f, zs, zdot)
+    a_t, r_t = red.A_t, red.R_t
 
-    def x_field(t, x):
-        p = p_interp(t).reshape(n, n)
-        return (a - bbt @ p) @ x - bbt @ w_interp(t)
+    def x1_field(t, x1):
+        z = z_interp(t)
+        p1 = z[:d * d].reshape(d, d)
+        return (a_t - r_t @ p1) @ x1 - r_t @ z[d * d:] - gz
 
     try:
-        ts, xs = integrate_ode(x_field, x0, 0.0, t1, tol=tol, grid=grid)
+        ts, x1s = integrate_ode(x1_field, x0[:d], 0.0, t1, tol=tol, grid=grid)
     except NumericalError as exc:
         raise NumericalError(f"state integration failed: {exc}") from exc
 
-    p_nodes = p_f[::refine]
-    w_nodes = w_f[::refine]
-    us = -np.einsum("ij,tj->ti", b.T,
-                    np.einsum("tij,tj->ti", p_nodes, xs) + w_nodes)
+    z_nodes = zs[::refine]
+    ps = np.zeros((grid, n, n))
+    ps[:, :d, :d] = z_nodes[:, :d * d].reshape(grid, d, d)
+    ps[:, d:, :d] = _coupling_block(red, ps[:, :d, :d])
+    ps[:, d:, d:] = p2
+    w1 = z_nodes[:, d * d:]
+    w2 = np.linalg.solve(red.K2, (part.C2.T @ y_c - w1 @ red.M.T).T).T
+    ws = np.hstack([w1, w2])
+    # K2* x2 = -[(A21 - B2 L1) x1 - B2 B* w] with L1 = B* P[:, :d]
+    l1 = plant.B.T @ ps[:, :, :d]
+    rhs = (np.einsum("tij,tj->ti", part.A21 - part.B2 @ l1, x1s)
+           - ws @ plant.B @ part.B2.T)
+    xs = np.hstack([x1s, -np.linalg.solve(red.K2.T, rhs.T).T])
+    us = -np.einsum("ij,tj->ti", plant.B.T,
+                    np.einsum("tij,tj->ti", ps, xs) + ws)
+
+    alg = xs @ plant.A[d:].T + us @ part.B2.T
+    alg_resid = float(np.max(np.linalg.norm(alg, axis=1)))
+    if alg_resid > 1e-8 * (1.0 + float(np.max(np.abs(x1s)))):
+        raise NumericalError(
+            f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
+    notes = []
+    if np.any(x0[d:]):
+        logger.info("supplied algebraic initial values are overridden by the "
+                    "consistency relation")
+        notes.append("algebraic initial values recomputed from the "
+                     "consistency relation")
+
     ys = xs @ plant.C.T
     cost = _running_cost(ts, ys, us, y_c) + 0.5 * float(
         np.sum((plant.F @ xs[-1] - y_e) ** 2))
-    return OptimalTrajectory(grid=ts, x=xs, u=us, y=ys, w=w_nodes, P=p_nodes,
-                             cost=float(cost))
+    return OptimalTrajectory(grid=ts, x=xs, u=us, y=ys, w=ws, P=ps,
+                             cost=float(cost), d=d, algebraic_residual=alg_resid,
+                             notes=notes)
 
 
 def _running_cost(ts, ys, us, y_c):

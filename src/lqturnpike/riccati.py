@@ -38,10 +38,6 @@ class DreSolution:
     def norm_fro(self):
         return np.linalg.norm(self.P, axis=(1, 2))
 
-    def fd_residual(self, plant, tol=DEFAULT_TOL):
-        """Finite-difference defect diagnostics; see dre_fd_residual."""
-        return dre_fd_residual(self, plant, tol)
-
 
 @dataclass(frozen=True)
 class GramianSet:
@@ -144,16 +140,22 @@ def dre_fd_residual(dre, plant, tol=DEFAULT_TOL):
     dominates on any coarse output grid, so comparing against the raw ode
     tolerance alone would be meaningless.
     """
-    field = dre_rhs(plant)
-    h = dre.grid[1] - dre.grid[0]
-    slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
-    fd = (dre.P[2:] - dre.P[:-2]) / (2.0 * h)
-    defect = fd - slopes[1:-1]
+    return _fd_defect(dre.grid, dre.P, plant, np.eye(plant.n), tol)
+
+
+def _fd_defect(grid, ps, plant, e, tol):
+    """(residual, bound) of the samples ``ps`` on the uniform ``grid``
+    against -E* Pdot = A* P + P* A - P* BB* P + C*C; see dre_fd_residual."""
+    a, b, c = plant.A, plant.B, plant.C
+    pt = ps.transpose(0, 2, 1)
+    slopes = -(a.T @ ps + pt @ a - pt @ (b @ b.T) @ ps + c.T @ c)
+    h = grid[1] - grid[0]
+    defect = e.T @ (ps[2:] - ps[:-2]) / (2.0 * h) - slopes[1:-1]
     resid = float(np.max(np.linalg.norm(defect, axis=(1, 2))))
     # |fd - Pdot| <= h^2/6 max|P'''|; P''' estimated by second differences of Pdot
     d2rhs = np.abs(slopes[2:] - 2.0 * slopes[1:-1] + slopes[:-2]) / h ** 2
     p3 = float(np.max(np.linalg.norm(d2rhs, axis=(1, 2)))) if len(d2rhs) else 0.0
-    scale = 1.0 + float(np.max(np.linalg.norm(dre.P, axis=(1, 2))))
+    scale = 1.0 + float(np.max(np.linalg.norm(ps, axis=(1, 2))))
     bound = (h ** 2 / 6.0) * p3 * 2.0 + 10.0 * tol.ode_rel * scale + 10.0 * tol.ode_abs
     return resid, bound
 

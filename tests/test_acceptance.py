@@ -219,7 +219,7 @@ def test_criterion_7_reference_dae_chain(ref_dae, gare_ref):
     assert abs(steady.u_s[0] + 0.5) < 1e-9
 
     traj = lt.dae_optimal_trajectory(ref_dae, X0_DAE, [1.0], [0.0], T1)
-    rep = lt.dae_turnpike_report(traj, steady, lambda_bar=gare_ref.lambda_bar)
+    rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
     assert -1.6 <= rep.lambda_hat <= -1.2
     _ok("criterion 7: reference descriptor chain",
         f"gDRE closed-form error {err_gdre:.1e}, bracket {bracket:.3f}, "

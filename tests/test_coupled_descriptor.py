@@ -84,8 +84,7 @@ def test_trajectory_against_oracle(plant, gare):
 def test_steady_state_and_feedforward(plant, gare):
     steady = lt.dae_steady_state(gare, Y_C)
     assert steady.residual <= 1e-12
-    delta = lt.structured_delta(gare, gare.partition.S1)
-    ff = lt.dae_feedforward(plant, gare, delta, Y_C, Y_E, T1, grid=81)
+    ff = lt.optimal_trajectory(plant, X0, Y_C, Y_E, T1, grid=81)
     part = gare.partition
     # w2 satisfies its algebraic relation at every node
     const = np.linalg.solve(gare.A_p2.T, part.C2.T @ Y_C)

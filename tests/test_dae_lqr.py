@@ -57,22 +57,19 @@ class TestDaeSteadyState:
 
 
 class TestDaeFeedforward:
-    def test_zero_targets(self, ref_dae, gare_ref):
-        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        ff = lt.dae_feedforward(ref_dae, gare_ref, delta, [0.0], [0.0], 10.0)
+    def test_zero_targets(self, ref_dae):
+        ff = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0], 10.0)
         assert np.abs(ff.w1).max() < 1e-12
         assert np.abs(ff.w2).max() < 1e-12
 
-    def test_constant_parts(self, ref_dae, gare_ref):
-        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        ff = lt.dae_feedforward(ref_dae, gare_ref, delta, [1.0], [0.0], 10.0)
+    def test_constant_parts(self, ref_dae):
+        ff = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0], 10.0)
         mid = len(ff.grid) // 2
         assert abs(ff.w1[mid, 0] + 1.0 / SQRT2) < np.exp(-SQRT2 * 5.0) + 1e-6
         assert np.abs(ff.w2).max() < 1e-12   # no output weight on x2
 
-    def test_terminal_condition(self, ref_dae, gare_ref):
-        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        ff = lt.dae_feedforward(ref_dae, gare_ref, delta, [0.0], [1.0], 10.0)
+    def test_terminal_condition(self, ref_dae):
+        ff = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [1.0], 10.0)
         assert ff.w1[-1, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -118,14 +115,40 @@ class TestDaeOptimalTrajectory:
         expect = traj.w1 @ coef.T + const
         assert np.abs(traj.w2 - expect).max() < 1e-12
 
+    def test_unstabilizable_plant_against_oracle(self):
+        # the slow mode at +0.5 cannot be stabilized, so there is no
+        # stabilizing GARE solution; the finite-horizon problem is still
+        # well-posed and needs only the reduced differential equation
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 1.0, 0.0]),
+            A=np.array([[0.5, 0.0, 0.0], [0.0, -1.0, 0.3], [0.0, 0.2, -1.0]]),
+            B=np.array([[0.0], [1.0], [1.0]]),
+            C=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.1]]),
+            F=np.array([[1.0, 0.5, 0.0]]))
+        x0, y_c, y_e, t1 = [1.0, 1.0, 0.0], [0.3, -0.2], [0.5], 5.0
+        with pytest.raises(lt.AssumptionViolation) as info:
+            lt.solve_gare(plant)
+        assert info.value.assumption == "stabilizing-solution"
+        errs = {}
+        for n_steps in (200, 400):
+            sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, t1, n_steps)
+            traj = lt.optimal_trajectory(plant, x0, y_c, y_e, t1,
+                                         grid=n_steps + 1)
+            assert traj.algebraic_residual <= 1e-10
+            errs[n_steps] = max(np.abs(traj.x - sol.x).max(),
+                                np.abs(traj.u - sol.u).max())
+            rel_cost = abs(traj.cost - sol.cost) / (1.0 + abs(traj.cost))
+            assert rel_cost < 1e-4
+        assert errs[400] < 1e-3
+        assert errs[200] / errs[400] >= 3.0          # second-order refinement
+
 
 class TestDaeTurnpikeReport:
     def test_affine_rate_window(self, ref_dae, gare_ref):
         steady = lt.dae_steady_state(gare_ref, [1.0])
         traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
                                          10.0)
-        rep = lt.dae_turnpike_report(traj, steady,
-                                     lambda_bar=gare_ref.lambda_bar)
+        rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
         assert -1.6 <= rep.lambda_hat <= -1.2
         assert rep.envelope_holds
 
@@ -133,8 +156,7 @@ class TestDaeTurnpikeReport:
         steady = lt.dae_steady_state(gare_ref, [0.0])
         traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
                                          10.0)
-        rep = lt.dae_turnpike_report(traj, steady,
-                                     lambda_bar=gare_ref.lambda_bar)
+        rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
         assert -1.6 <= rep.lambda_hat <= -1.2
         assert rep.envelope_holds
 
@@ -151,6 +173,7 @@ class TestDaeTurnpikeReport:
             def x(self):
                 return np.hstack([self.x1, self.x2])
 
-        rep = lt.dae_turnpike_report(Synthetic(), steady)
+        rep = lt.turnpike_report(Synthetic(), steady)
         assert rep.envelope_holds
         assert rep.C_hat == 0.0
+

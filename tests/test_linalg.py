@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 import lqturnpike as lt
 from lqturnpike.errors import AssumptionViolation, DimensionError, NumericalError
-from lqturnpike.linalg import psd_factor, solve_are_q
+from lqturnpike.linalg import solve_are_q
 
 from conftest import A_PLUS_ABC, P_PLUS_ABC, SQRT2, W_ABC
 
@@ -196,19 +196,6 @@ class TestRankAndSpectra:
     def test_min_eig_sym_asymmetric(self):
         with pytest.raises(DimensionError):
             lt.min_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdFactor:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        g = rng.standard_normal((3, 3))
-        q = g @ g.T
-        f = psd_factor(q)
-        assert np.abs(f @ f.T - q).max() < 1e-12
-
-    def test_indefinite(self):
-        with pytest.raises(AssumptionViolation):
-            psd_factor(np.diag([1.0, -1.0]))
 
 
 class TestTolerances:
