@@ -1,6 +1,11 @@
 """Numerical toolkit for finite-horizon affine LQR problems on standard and
 descriptor (DAE) plants: Riccati solvers, closed-form transition maps,
 turnpike diagnostics, and a direct-transcription verification oracle.
+
+A standard plant is solved as its d = n descriptor plant, so one set of
+solvers serves both kinds.  The former names ``stabilizing_solution``,
+``solve_dre``, ``dae_optimal_trajectory``, ``dae_steady_state`` and
+``delta_formula`` stay importable, outside ``__all__``.
 """
 
 from .errors import (AssumptionViolation, DimensionError, NumericalError,
@@ -13,41 +18,37 @@ from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      check_finite_dynamics_stable, check_impulse_controllable,
                      check_impulse_free, check_pencil_regular,
                      structural_report, wrap_standard)
-from .riccati import (AreSolution, DreSolution, GramianSet, SlidingTerminal,
-                      check_convergence_condition, delta_formula,
-                      fundamental_solution_U, gramians, sliding_terminal,
+from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
+                          StructuredDelta, check_convergence_condition,
+                          decoupled_closed_loop, gramians,
+                          reduced_coefficients, solve_fast_block, solve_gare,
+                          solve_gdre, structured_delta)
+from .riccati import (delta_formula, fundamental_solution_U, sliding_terminal,
                       solve_dre, stabilizing_solution, transition_backward,
                       transition_forward)
 from .lqr import (FeedforwardTrajectory, OptimalTrajectory, StateDecomposition,
                   SteadyState, TurnpikeReport, decompose_state, feedforward,
                   optimal_trajectory, steady_state, turnpike_report)
-from .dae_riccati import (GareSolution, GdreSolution, StructuredDelta,
-                          decoupled_closed_loop, reduced_coefficients,
-                          solve_fast_block, solve_gare, solve_gdre,
-                          structured_delta)
-from .dae_lqr import DaeSteady, dae_optimal_trajectory, dae_steady_state
+from .dae_lqr import dae_optimal_trajectory, dae_steady_state
 from .oracle import DiscretizedLQ, OracleSolution, transcribe_and_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreSolution", "AssumptionViolation", "DaeSteady", "DescriptorPlant",
-    "DimensionError", "DiscretizedLQ", "DreSolution",
-    "FeedforwardTrajectory", "GareSolution", "GdreSolution", "GramianSet",
-    "LtiPlant", "NumericalError", "OptimalTrajectory", "OracleSolution",
-    "SemiExplicitPartition", "SingularBracketError", "SlidingTerminal",
+    "AssumptionViolation", "DescriptorPlant", "DimensionError",
+    "DiscretizedLQ", "FeedforwardTrajectory", "GareSolution", "GdreSolution",
+    "GramianSet", "LtiPlant", "NumericalError", "OptimalTrajectory",
+    "OracleSolution", "SemiExplicitPartition", "SingularBracketError",
     "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
     "Tolerances", "ToolkitError", "TurnpikeReport",
     "check_convergence_condition", "check_F_compatible",
     "check_finite_dynamics_stable", "check_impulse_controllable",
-    "check_impulse_free", "check_pencil_regular", "dae_optimal_trajectory",
-    "dae_steady_state", "decompose_state", "decoupled_closed_loop",
-    "delta_formula", "expm",
-    "feedforward", "fundamental_solution_U", "gramians", "integrate_ode",
-    "min_eig_sym", "optimal_trajectory", "rank_svd", "reduced_coefficients",
-    "sliding_terminal", "solve_are_stabilizing", "solve_dre",
-    "solve_fast_block", "solve_gare", "solve_gdre", "solve_lyapunov",
-    "spectral_abscissa", "stabilizing_solution", "steady_state",
+    "check_impulse_free", "check_pencil_regular", "decompose_state",
+    "decoupled_closed_loop", "expm", "feedforward", "fundamental_solution_U",
+    "gramians", "integrate_ode", "min_eig_sym", "optimal_trajectory",
+    "rank_svd", "reduced_coefficients", "sliding_terminal",
+    "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",
+    "solve_lyapunov", "spectral_abscissa", "steady_state",
     "structural_report", "structured_delta", "transcribe_and_solve",
     "transition_backward", "transition_forward", "turnpike_report",
     "wrap_standard",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dae_lqr, dae_riccati, lqr, oracle, plants, riccati
+from . import dae_riccati, lqr, oracle, plants
 from .errors import AssumptionViolation, DimensionError, NumericalError
 from .linalg import Tolerances
 
@@ -219,59 +219,35 @@ def cmd_check(sc, args):
     return 0
 
 
-def _ode_are_bundle(sc):
-    are = riccati.stabilizing_solution(sc.plant, sc.tol)
-    gram = riccati.gramians(are, sc.plant.B, sc.tol)
-    s = sc.plant.terminal_weight
-    conv = riccati.check_convergence_condition(s, are, gram, sc.tol)
-    return are, gram, s, conv
-
-
-def _dae_convergence(gare, tol):
-    """True iff the generalized Riccati flow converges for the plant's
-    terminal weight (the reduced convergence condition holds)."""
-    try:
-        dae_riccati.structured_delta(gare, gare.partition.S1, tol)
-    except AssumptionViolation:
-        return False
-    return True
+def _solve_are(sc):
+    """The stabilizing (g)ARE solution, and whether the backward Riccati flow
+    converges to it from the plant's terminal weight."""
+    gare = dae_riccati.solve_gare(sc.plant, sc.tol)
+    gram = dae_riccati.gramians(gare, gare.B_bar, sc.tol)
+    conv = dae_riccati.check_convergence_condition(gare.partition.S1, gare,
+                                                   gram, sc.tol)
+    return gare, conv
 
 
 def cmd_are(sc, args):
-    if sc.kind == "ode":
-        are, gram, s, conv = _ode_are_bundle(sc)
-        _print_report([
-            ("norm_P_plus_fro", _fmt(np.linalg.norm(are.P_plus, "fro"))),
-            ("spectral_abscissa", _fmt(are.lam)),
-            ("residual", _fmt(are.residual)),
-            ("convergence_condition", conv),
-        ])
-    else:
-        gare = dae_riccati.solve_gare(sc.plant, sc.tol)
-        conv = _dae_convergence(gare, sc.tol)
-        _print_report([
-            ("norm_P_plus_fro", _fmt(np.linalg.norm(gare.P_plus, "fro"))),
-            ("norm_P1_fro", _fmt(np.linalg.norm(gare.P1, "fro"))),
-            ("lambda_bar", _fmt(gare.lambda_bar)),
-            ("residual", _fmt(gare.residual)),
-            ("convergence_condition", conv),
-        ])
+    gare, conv = _solve_are(sc)
+    _print_report([
+        ("norm_P_plus_fro", _fmt(np.linalg.norm(gare.P_plus, "fro"))),
+        ("norm_P1_fro", _fmt(np.linalg.norm(gare.P1, "fro"))),
+        ("spectral_abscissa", _fmt(gare.lambda_bar)),
+        ("lambda_bar", _fmt(gare.lambda_bar)),
+        ("residual", _fmt(gare.residual)),
+        ("convergence_condition", conv),
+    ])
     return 0
 
 
 def cmd_dre(sc, args):
     grid = args.grid or sc.grid
-    if sc.kind == "ode":
-        dre = riccati.solve_dre(sc.plant, sc.t1, grid, sc.tol)
-        norms = dre.norm_fro()
-        ts = dre.grid
-    else:
-        gdre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid, sc.tol)
-        ts = gdre.grid
-        norms = np.array([np.linalg.norm(gdre.assemble(i), "fro")
-                          for i in range(len(ts))])
+    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid, sc.tol)
+    norms = dre.norm_fro()
     out = _out_dir(args, sc) / f"{sc.path.stem}_dre.csv"
-    write_csv(out, ["t", "normP_fro"], zip(ts, norms))
+    write_csv(out, ["t", "normP_fro"], zip(dre.grid, norms))
     _print_report([("normP_at_0", _fmt(norms[0])),
                    ("normP_at_t1", _fmt(norms[-1])),
                    ("csv", out)])
@@ -301,28 +277,16 @@ def cmd_simulate(sc, args):
 
 def cmd_turnpike(sc, args):
     grid = args.grid or sc.grid
-    if sc.kind == "ode":
-        are, gram, s, conv = _ode_are_bundle(sc)
-        steady = lqr.steady_state(sc.plant, are, sc.y_c, sc.tol)
-        lam_theory = are.lam
-    else:
-        gare = dae_riccati.solve_gare(sc.plant, sc.tol)
-        steady = dae_lqr.dae_steady_state(gare, sc.y_c, sc.tol)
-        conv = _dae_convergence(gare, sc.tol)
-        lam_theory = gare.lambda_bar
+    gare, conv = _solve_are(sc)
+    steady = lqr.steady_state(sc.plant, gare, sc.y_c, sc.tol)
     traj = _solve_trajectory(sc, grid)
-    remainder = None
-    if sc.kind == "ode" and conv:
-        dec = lqr.decompose_state(traj, are, gram, s, steady, sc.tol)
-        remainder = np.linalg.norm(dec.g, axis=1)
-    report = lqr.turnpike_report(traj, steady, lam=lam_theory,
-                                 remainder=remainder)
+    report = lqr.turnpike_report(traj, steady, lam=gare.lambda_bar)
     out = _out_dir(args, sc) / f"{sc.path.stem}_turnpike.csv"
     write_csv(out, ["t", "dist_x", "dist_u", "envelope"],
               zip(traj.grid, report.dist_x, report.dist_u, report.envelope))
     _print_report([
         ("convergence_condition", conv),
-        ("lambda_theory", _fmt(lam_theory)),
+        ("lambda_theory", _fmt(gare.lambda_bar)),
         ("lambda_hat", _fmt(report.lambda_hat)),
         ("C_hat", _fmt(report.C_hat)),
         ("envelope_holds", report.envelope_holds),
@@ -386,7 +350,7 @@ def cmd_figure1(args):
     out_dir = _out_dir(args)
     manifest = []
     for tag, plant in (("fc", plant_fc), ("fperp", plant_fperp)):
-        dre = riccati.solve_dre(plant, t1, grid, tol)
+        dre = dae_riccati.solve_gdre(plant, t1, grid, tol)
         path = out_dir / f"figure1_dre_{tag}.csv"
         write_csv(path, ["t", "normP_fro"], zip(dre.grid, dre.norm_fro()))
         manifest.append(path)

@@ -1,24 +1,26 @@
-"""Generalized Riccati equations for semi-explicit descriptor plants.
+"""The algebraic layer of both plant kinds: Riccati equations of
+semi-explicit descriptor plants, of which a standard plant is the d = n case.
 
-The generalized algebraic/differential equations are solved through the
-block reduction: a constant fast-block solution P2 with invertible
-K2 = A22* - P2* B2 B2*, the algebraic elimination of the coupling block
-P21, and a reduced standard Riccati equation in the differential block P1.
-The difference P(t) - P+ has second block column zero and is given in closed
-form through the reduced closed loop (Abar, Bbar).
+Every solve enters through ``_reduce``: a constant fast-block solution P2
+with invertible K2 = A22* - P2* B2 B2*, the algebraic elimination of the
+coupling block P21, and a reduced standard Riccati equation in the
+differential block P1.  For a standard plant the fast block is empty, the
+reduced coefficients are (A, BB*, C*C) and P = P1.  The difference
+P(t) - P+ has second block column zero and is given in closed form through
+the reduced closed loop (Abar, Bbar).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolation, NumericalError
+from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import integrate_ode
-from .linalg import (DEFAULT_TOL, min_eig_sym, smallest_singular_value,
-                     solve_are_q, solve_lyapunov, spectral_abscissa, sym)
-from .plants import (check_F_compatible, check_impulse_controllable,
-                     check_pencil_regular)
-from .riccati import AreSolution, GramianSet, SlidingTerminal, _fd_defect
+from .linalg import (DEFAULT_TOL, as_matrix, expm, min_eig_sym,
+                     smallest_singular_value, solve_are_q, solve_lyapunov,
+                     spectral_abscissa, sym)
+from .plants import (LtiPlant, check_F_compatible, check_impulse_controllable,
+                     check_pencil_regular, wrap_standard)
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,23 @@ class ReducedCoefficients:
 
 
 @dataclass(frozen=True)
+class GramianSet:
+    """Reachability Gramian W of a stable closed loop A+ and its
+    finite-horizon values W(tau) = W - e^{tau A+} W e^{tau A+*}."""
+
+    W: np.ndarray
+    A_plus: np.ndarray
+
+    def at(self, tau):
+        e = expm(tau * self.A_plus)
+        return self.W - e @ self.W @ e.T
+
+
+@dataclass(frozen=True)
 class GareSolution:
     """Stabilizing solution of the generalized algebraic Riccati equation
-    with closed-loop data and the reduced triple (Abar, Bbar, Cbar)."""
+    with closed-loop data and the reduced triple (Abar, Bbar, Cbar).  For a
+    standard plant (d = n) P_plus = P1, A_plus = A_bar and B_bar = B."""
 
     P1: np.ndarray
     P21: np.ndarray
@@ -53,57 +69,73 @@ class GareSolution:
     A_bar: np.ndarray
     B_bar: np.ndarray
     C_bar: np.ndarray
-    lambda_bar: float
+    lambda_bar: float   # spectral abscissa of A_bar, < 0
     residual: float
     reduced: ReducedCoefficients
     partition: object
-    plant: object
+    plant: object       # the descriptor plant; E = I for a standard one
+
+    @property
+    def lam(self):
+        return self.lambda_bar
 
 
 @dataclass(frozen=True)
 class GdreSolution:
-    """Backward generalized Riccati trajectory: time-varying differential
-    block P1(t), algebraically slaved coupling block P21(t), constant fast
-    block P2."""
+    """Backward Riccati trajectory on an ascending uniform grid: P[i] is
+    [[P1, 0], [P21, P2]] at grid[i], with the time-varying differential
+    block P1, the algebraically slaved coupling block P21 and the constant
+    fast block P2; P = P1 for a standard plant (d = n)."""
 
     t1: float
-    grid: np.ndarray
-    P1: np.ndarray       # (G, d, d)
-    P21: np.ndarray      # (G, n-d, d)
-    P2: np.ndarray
-    S1: np.ndarray
-    A_t: np.ndarray
-    R_t: np.ndarray
-    Q_t: np.ndarray
-    gare: GareSolution
+    grid: np.ndarray     # ascending, grid[0] = 0, grid[-1] = t1
+    P: np.ndarray        # (G, n, n)
+    d: int
 
-    def assemble(self, i):
-        """Full P(t_i) as the block lower-triangular matrix."""
-        d = self.P1.shape[1]
-        n = d + self.P2.shape[0]
-        p = np.zeros((n, n))
-        p[:d, :d] = self.P1[i]
-        p[d:, :d] = self.P21[i]
-        p[d:, d:] = self.P2
-        return p
+    @property
+    def P1(self):
+        return self.P[:, :self.d, :self.d]
+
+    @property
+    def P21(self):
+        return self.P[:, self.d:, :self.d]
+
+    def norm_fro(self):
+        return np.linalg.norm(self.P, axis=(1, 2))
 
 
 @dataclass(frozen=True)
 class StructuredDelta:
-    """Evaluator for the structured difference P(t) - P+: the differential
-    block follows the reduced sliding-terminal closed form, the coupling
-    block is -A+2^{-*} A+12* times it, and the second block column vanishes."""
+    """Closed form of P(t) - P+ for the terminal block S1.  With
+    tau = t1 - t the differential block is e^{tau Abar*} S~(tau) e^{tau Abar},
+    where S~(tau) = (S1 - P1+)[I + Wbar(tau)(S1 - P1+)]^{-1} is the sliding
+    terminal condition; the coupling block is -A+2^{-*} A+12* times it, and
+    the second block column vanishes.  For a standard plant this is
+    P(t) - P+ itself."""
 
     gare: GareSolution
     S1: np.ndarray
-    sliding: SlidingTerminal
     gram_bar: GramianSet
+    tol: object = DEFAULT_TOL
+
+    @property
+    def K_sup(self):
+        """max(||S1 - P1+||, ||S~(inf)||)."""
+        d = self.S1 - self.gare.P1
+        s_inf = _right_divide(d, np.eye(d.shape[0]) + self.gram_bar.W @ d,
+                              self.tol, tau=np.inf)
+        return max(np.linalg.norm(d, 2), np.linalg.norm(s_inf, 2))
+
+    def at(self, tau):
+        """The sliding terminal condition S~(tau)."""
+        d = self.S1 - self.gare.P1
+        bracket = np.eye(d.shape[0]) + self.gram_bar.at(tau) @ d
+        return _right_divide(d, bracket, self.tol, tau=tau)
 
     def delta1(self, t, t1):
-        from .linalg import expm
         tau = t1 - t
         e = expm(tau * self.gare.A_bar)
-        return e.T @ self.sliding.at(tau) @ e
+        return e.T @ self.at(tau) @ e
 
     def coupling(self):
         """Factor L with P_delta;21 = L @ P_delta;1."""
@@ -119,6 +151,20 @@ class StructuredDelta:
         out[:d, :d] = d1
         out[d:, :d] = self.coupling() @ d1
         return out
+
+
+def _is_singular(m, tol):
+    """smallest singular value <= rank cut x max(1, ||m||_2); an empty
+    matrix is not singular."""
+    return bool(m.size) and smallest_singular_value(m) <= tol.rank_cut(
+        m.shape) * max(1.0, np.linalg.norm(m, 2))
+
+
+def _right_divide(x, bracket, tol, tau):
+    """x @ bracket^{-1} with a singularity guard."""
+    if _is_singular(bracket, tol):
+        raise SingularBracketError(tau)
+    return np.linalg.solve(bracket.T, x.T).T
 
 
 @dataclass(frozen=True)
@@ -228,9 +274,7 @@ def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
 
 
 def _require_k2(a22, b2, p2, tol):
-    k2 = _k2_of(a22, b2, p2)
-    if k2.shape[0] and smallest_singular_value(k2) <= tol.rank_cut(
-            k2.shape) * max(1.0, np.linalg.norm(k2, 2)):
+    if _is_singular(_k2_of(a22, b2, p2), tol):
         raise AssumptionViolation(
             "fast-block", "K2 = A22* - P2* B2 B2* is singular")
 
@@ -291,14 +335,26 @@ def _require_structure(plant, tol):
             "terminal weight acts on algebraic variables")
 
 
-def solve_gare(plant, tol=DEFAULT_TOL):
-    """Stabilizing solution of the generalized algebraic Riccati equation via
-    the block reduction, with all structural certificates verified."""
-    _require_structure(plant, tol)
+def _reduce(plant, tol):
+    """The one entry of both plant kinds: an ``LtiPlant`` is taken as its
+    d = n descriptor plant, whose structural checks hold trivially; a
+    descriptor plant must pass them.  Returns (descriptor plant, partition,
+    P2, reduced coefficients); the fast block and the reduced weight refuse
+    by name."""
+    if isinstance(plant, LtiPlant):
+        plant = wrap_standard(plant)
+    else:
+        _require_structure(plant, tol)
     part = plant.partition()
-    d, n = part.d, plant.n
     p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
-    red = reduced_coefficients(part, p2, tol)
+    return plant, part, p2, reduced_coefficients(part, p2, tol)
+
+
+def solve_gare(plant, tol=DEFAULT_TOL):
+    """Stabilizing solution of the algebraic Riccati equation of either
+    plant kind via the block reduction, with its closed loop verified."""
+    plant, part, p2, red = _reduce(plant, tol)
+    d, n = part.d, plant.n
 
     p1 = solve_are_q(red.A_t, red.R_t, red.Q_t, tol)
     p21 = _coupling_block(red, p1)
@@ -319,12 +375,11 @@ def solve_gare(plant, tol=DEFAULT_TOL):
     a_plus = plant.A - plant.B @ plant.B.T @ p_plus
     a_p1, a_p12 = a_plus[:d, :d], a_plus[:d, d:]
     a_p21, a_p2 = a_plus[d:, :d], a_plus[d:, d:]
-    if a_p2.shape[0] and smallest_singular_value(a_p2) <= tol.rank_cut(
-            a_p2.shape) * max(1.0, np.linalg.norm(a_p2, 2)):
+    # with E = diag(I, 0), det(sE - A+) = det(-A+2) det(sI - Abar), so an
+    # invertible A+2 also makes the closed-loop pencil regular
+    if _is_singular(a_p2, tol):
         raise AssumptionViolation(
             "impulse-freeness", "closed-loop fast block A+2 is singular")
-    if not check_pencil_regular(plant.E, a_plus, tol):
-        raise AssumptionViolation("regularity", "closed-loop pencil singular")
 
     a_bar = a_p1 - a_p12 @ np.linalg.solve(a_p2, a_p21)
     b_bar = part.B1 - a_p12 @ np.linalg.solve(a_p2, part.B2)
@@ -355,40 +410,86 @@ def _coupling_block(red, p1):
     return -np.linalg.solve(red.K2, red.M @ p1 + red.N)
 
 
-def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
-    """Backward generalized Riccati solve: integrate the reduced equation in
-    the differential block, slave the coupling block algebraically, keep the
-    fast block constant."""
-    if t1 <= 0.0:
-        raise ValueError("t1 must be positive")
-    gare = solve_gare(plant, tol)
-    part, red = gare.partition, gare.reduced
-    s1 = sym(part.S1)
-
+def _riccati_field(red):
+    """Right side of the reduced Riccati equation
+    -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt as a (t, P1) -> P1dot field."""
     a_t, r_t, q_t = red.A_t, red.R_t, red.Q_t
 
     def field(_t, p):
         p = sym(p)
         return -(a_t.T @ p + p @ a_t - p @ r_t @ p + q_t)
 
+    return field
+
+
+def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
+    """Backward Riccati solve of either plant kind: integrate the reduced
+    equation in the differential block from P1(t1) = S1, with a symmetry
+    projection after every accepted step, slave the coupling block
+    algebraically and keep the fast block constant.  No algebraic Riccati
+    equation is solved, so plants whose slow dynamics cannot be stabilized
+    get their solution too."""
+    if t1 <= 0.0:
+        raise ValueError("t1 must be positive")
+    plant, part, p2, red = _reduce(plant, tol)
+    d, n = part.d, plant.n
+    s1 = sym(part.S1)
     try:
-        ts, p1s = integrate_ode(field, s1, t1, 0.0, tol=tol, grid=grid,
-                                postprocess=sym)
+        ts, p1s = integrate_ode(_riccati_field(red), s1, t1, 0.0, tol=tol,
+                                grid=grid, postprocess=sym)
     except NumericalError as exc:
-        raise NumericalError(f"reduced Riccati integration failed: {exc}") from exc
+        raise NumericalError(f"Riccati integration failed: {exc}") from exc
+    # ts descends from t1 to 0; store ascending
     order = np.argsort(ts)
-    ts, p1s = ts[order], p1s[order]
-    p1s[-1] = s1
-    p21s = _coupling_block(red, p1s)
-    return GdreSolution(t1=float(t1), grid=ts, P1=p1s, P21=p21s, P2=gare.P2,
-                        S1=s1, A_t=a_t, R_t=r_t, Q_t=q_t, gare=gare)
+    ps = np.zeros((len(ts), n, n))
+    ps[:, :d, :d] = p1s[order]
+    ps[-1, :d, :d] = s1  # terminal node is exact by construction
+    ps[:, d:, :d] = _coupling_block(red, ps[:, :d, :d])
+    ps[:, d:, d:] = p2
+    return GdreSolution(t1=float(t1), grid=ts[order], P=ps, d=d)
 
 
-def gdre_fd_residual(gdre, plant, tol=DEFAULT_TOL):
-    """Centered finite-difference defect of the assembled generalized Riccati
-    trajectory, with the truncation-aware bound of ``dre_fd_residual``."""
-    ps = np.array([gdre.assemble(i) for i in range(len(gdre.grid))])
-    return _fd_defect(gdre.grid, ps, plant, plant.E, tol)
+def gdre_fd_residual(dre, plant, tol=DEFAULT_TOL):
+    """Centered finite-difference defect of a Riccati trajectory on its
+    interior nodes against -E* Pdot = A* P + P* A - P* BB* P + C*C, with
+    E = diag(I_d, 0) (E = I for a standard plant).
+
+    Returns (residual, bound).  The bound combines the integration tolerance
+    with the h^2 truncation term of the centered difference, estimated from
+    second differences of the algebraic right side; the truncation term
+    dominates on any coarse output grid, so comparing against the raw ode
+    tolerance alone would be meaningless.
+    """
+    a, b, c = plant.A, plant.B, plant.C
+    grid, ps = dre.grid, dre.P
+    e = np.eye(plant.n)
+    e[dre.d:] = 0.0
+    pt = ps.transpose(0, 2, 1)
+    slopes = -(a.T @ ps + pt @ a - pt @ (b @ b.T) @ ps + c.T @ c)
+    h = grid[1] - grid[0]
+    defect = e @ (ps[2:] - ps[:-2]) / (2.0 * h) - slopes[1:-1]
+    resid = float(np.max(np.linalg.norm(defect, axis=(1, 2))))
+    # |fd - Pdot| <= h^2/6 max|P'''|; P''' estimated by second differences of Pdot
+    d2rhs = np.abs(slopes[2:] - 2.0 * slopes[1:-1] + slopes[:-2]) / h ** 2
+    p3 = float(np.max(np.linalg.norm(d2rhs, axis=(1, 2)))) if len(d2rhs) else 0.0
+    scale = 1.0 + float(np.max(np.linalg.norm(ps, axis=(1, 2))))
+    bound = (h ** 2 / 6.0) * p3 * 2.0 + 10.0 * tol.ode_rel * scale + 10.0 * tol.ode_abs
+    return resid, bound
+
+
+def gramians(are, b, tol=DEFAULT_TOL):
+    """Reachability Gramian set of the reduced closed loop (Abar, b): W
+    solves Abar W + W Abar* + b b* = 0 (Abar = A+ for a standard plant)."""
+    b = as_matrix(b, "B")
+    w = solve_lyapunov(are.A_bar, b @ b.T, tol)
+    return GramianSet(W=sym(w), A_plus=are.A_bar)
+
+
+def check_convergence_condition(S, are, gram, tol=DEFAULT_TOL):
+    """True iff I + W (S - P1+) is invertible: the terminal weight is
+    compatible with convergence of the backward Riccati flow to P+."""
+    d = sym(as_matrix(S, "S")) - are.P1
+    return not _is_singular(np.eye(d.shape[0]) + gram.W @ d, tol)
 
 
 def structured_delta(gare, s1, tol=DEFAULT_TOL):
@@ -400,24 +501,13 @@ def structured_delta(gare, s1, tol=DEFAULT_TOL):
     d = gare.A_bar.shape[0]
     if s1.shape != (d, d):
         raise ValueError(f"S1 must be {d}x{d}")
-    wbar = solve_lyapunov(gare.A_bar, gare.B_bar @ gare.B_bar.T, tol)
-    gram_bar = GramianSet(W=sym(wbar), A_plus=gare.A_bar)
-    diff = s1 - gare.P1
-    bracket = np.eye(d) + gram_bar.W @ diff
-    if smallest_singular_value(bracket) <= tol.rank_cut(bracket.shape) * max(
-            1.0, np.linalg.norm(bracket, 2)):
+    gram_bar = gramians(gare, gare.B_bar, tol)
+    if not check_convergence_condition(s1, gare, gram_bar, tol):
         raise AssumptionViolation(
             "convergence-condition",
             "I + Wbar (S1 - P1+) is singular; the generalized Riccati flow "
             "does not converge for this terminal weight")
-
-    red, p1 = gare.reduced, gare.P1
-    resid = np.linalg.norm(red.A_t.T @ p1 + p1 @ red.A_t
-                           - p1 @ red.R_t @ p1 + red.Q_t, "fro")
-    reduced_are = AreSolution(P_plus=p1, A_plus=gare.A_bar,
-                              lam=gare.lambda_bar, residual=float(resid))
-    sliding = SlidingTerminal(S=s1, are=reduced_are, gram=gram_bar, tol=tol)
-    return StructuredDelta(gare=gare, S1=s1, sliding=sliding, gram_bar=gram_bar)
+    return StructuredDelta(gare=gare, S1=s1, gram_bar=gram_bar, tol=tol)
 
 
 def decoupled_closed_loop(gare, delta):

@@ -1,8 +1,8 @@
-"""Affine finite-horizon LQR: the optimal-trajectory pipeline shared by
-standard plants (the d = n case) and semi-explicit descriptor plants, and for
-standard plants the steady state, the feedforward closed forms with an
-integration cross-check, the state decomposition around the steady state,
-and turnpike diagnostics.
+"""Affine finite-horizon LQR for standard plants (the d = n case) and
+semi-explicit descriptor plants: the optimal-trajectory pipeline, the
+steady state, the state decomposition around it and turnpike diagnostics,
+all shared by both plant kinds, and for standard plants the feedforward
+closed forms with an integration cross-check.
 """
 
 import logging
@@ -10,13 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae_riccati import (_coupling_block, _require_structure,
-                          reduced_coefficients, solve_fast_block)
+from .dae_riccati import _coupling_block, _reduce
 from .errors import NumericalError
 from .integrate import CubicHermite, integrate_ode
 from .linalg import DEFAULT_TOL, as_vector, expm, sym
-from .plants import LtiPlant, wrap_standard
-from .riccati import fundamental_solution_U
 
 logger = logging.getLogger(__name__)
 
@@ -29,13 +26,28 @@ _MIN_FIT_SAMPLES = 4
 @dataclass(frozen=True)
 class SteadyState:
     """Solution of the steady-state problem min ||Cx - y_c||^2 + ||u||^2
-    subject to 0 = Ax + Bu, with its Lagrange multiplier."""
+    subject to 0 = Ax + Bu, with its Lagrange multiplier lambda_s =
+    P+ x_s + w_s.  ``x_s1``, ``w_s1`` and ``w_s2`` are the state and the
+    feedforward split at d (d = n for a standard plant)."""
 
     x_s: np.ndarray
     u_s: np.ndarray
     w_s: np.ndarray
     lambda_s: np.ndarray
     kkt_residual: float
+    d: int
+
+    @property
+    def x_s1(self):
+        return self.x_s[:self.d]
+
+    @property
+    def w_s1(self):
+        return self.w_s[:self.d]
+
+    @property
+    def w_s2(self):
+        return self.w_s[self.d:]
 
 
 @dataclass(frozen=True)
@@ -104,13 +116,13 @@ class TurnpikeReport:
     dist_x: np.ndarray
     dist_u: np.ndarray
     envelope: np.ndarray
-    remainder_norms: np.ndarray | None = None
     notes: list = field(default_factory=list)
 
 
 def steady_state(plant, are, y_c, tol=DEFAULT_TOL):
-    """Steady-state optimum: x_s = A+^{-1} BB* A+^{-*} C* y_c,
-    w_s = A+^{-*} C* y_c, u_s = -B*(P+ x_s + w_s)."""
+    """Steady-state optimum of either plant kind: x_s = A+^{-1} BB* A+^{-*}
+    C* y_c, w_s = A+^{-*} C* y_c, u_s = -B*(P+ x_s + w_s), with the full
+    closed loop A+ (invertible, since A+2 is and Abar is stable)."""
     y_c = as_vector(y_c, "y_c")
     a, b, c = plant.A, plant.B, plant.C
     cy = c.T @ y_c
@@ -139,7 +151,7 @@ def steady_state(plant, are, y_c, tol=DEFAULT_TOL):
                 f"steady-state KKT residual {resid:.3e} in row {row} exceeds "
                 f"1e-10 x (1 + {scale:.3e}) (||P+||_F = {n_p:.2e})")
     return SteadyState(x_s=x_s, u_s=u_s, w_s=w_s, lambda_s=lambda_s,
-                       kkt_residual=max(resids))
+                       kkt_residual=max(resids), d=are.partition.d)
 
 
 def _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1):
@@ -186,20 +198,6 @@ def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     return FeedforwardTrajectory(
         grid=ts, w=w, w_h=w_h, w_p=w_p, w_integrated=w_int,
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))
-
-
-def _reduce(plant, tol):
-    """Block reduction shared by both plant kinds: an ``LtiPlant`` is taken
-    as its d = n descriptor plant, a descriptor plant must pass the
-    structural checks.  Returns (descriptor plant, partition, P2, reduced
-    coefficients); the fast block and the reduced weight refuse by name."""
-    if isinstance(plant, LtiPlant):
-        plant = wrap_standard(plant)
-    else:
-        _require_structure(plant, tol)
-    part = plant.partition()
-    p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
-    return plant, part, p2, reduced_coefficients(part, p2, tol)
 
 
 def _backward_pass(part, red, y_c, y_e, t1, grid, tol):
@@ -323,27 +321,22 @@ def _running_cost(ts, ys, us, y_c):
     return float(np.trapezoid(integrand, ts))
 
 
-def decompose_state(traj, are, gram, S, steady, tol=DEFAULT_TOL):
-    """Split a trajectory as x = x_h + x_s - transient + g with
-    x_h(t) = U(t) U(0)^{-1} x0 and transient(t) = e^{t A+} x_s; the
-    remainder g decays pointwise as the horizon grows.
-
-    cond(U(0)) grows like e^{t1 (spread of Re lambda(A+))}; once it reaches
-    1/eps the split is meaningless and is refused with ``NumericalError``.
-    """
+def decompose_state(traj, are, steady, tol=DEFAULT_TOL):
+    """Split a trajectory as x = x_h + x_s - transient + g, where x_h is the
+    homogeneous solution from the same x0 (y_c = 0, y_e = 0) and
+    transient(t) = [I; -A+2^{-1} A+21] e^{t Abar} x_s1; the remainder g
+    decays pointwise as the horizon grows."""
     ts = traj.grid
-    t1 = float(ts[-1])
-    x0 = traj.x[0]
-    u0 = fundamental_solution_U(S, are, gram, 0.0, t1)
-    cond = float(np.linalg.cond(u0))
-    if not cond < 1.0 / np.finfo(float).eps:
-        raise NumericalError(
-            f"U(0) is numerically singular (condition number {cond:.3e}); "
-            "the state decomposition is undefined at this horizon")
-    seed = np.linalg.solve(u0, x0)
-    x_h = np.array([fundamental_solution_U(S, are, gram, t, t1) @ seed
-                    for t in ts])
-    transient = np.array([expm(t * are.A_plus) @ steady.x_s for t in ts])
+    plant = are.plant
+    d = are.partition.d
+    x0 = np.zeros(plant.n)
+    x0[:d] = traj.x[0, :d]
+    x_h = optimal_trajectory(plant, x0, np.zeros(plant.k),
+                             np.zeros(plant.F.shape[0]), float(ts[-1]),
+                             ts.size, tol).x
+    lift = np.vstack([np.eye(d), -np.linalg.solve(are.A_p2, are.A_p21)])
+    transient = np.array([lift @ (expm(t * are.A_bar) @ steady.x_s1)
+                          for t in ts])
     g = traj.x - x_h - steady.x_s + transient
     return StateDecomposition(grid=ts, x_h=x_h, x_s=steady.x_s,
                               transient=transient, g=g)
@@ -387,7 +380,7 @@ def _rate_window(ts, dist_x, t1):
     return ts <= t1 / 4.0 + 1e-12
 
 
-def turnpike_report(traj, steady, lam=None, remainder=None):
+def turnpike_report(traj, steady, lam=None):
     """Turnpike diagnostics for a solved trajectory.
 
     The decay rate is fitted on the ``_rate_window`` stretch [t1/4, dip]
@@ -411,8 +404,7 @@ def turnpike_report(traj, steady, lam=None, remainder=None):
     report = TurnpikeReport(
         x_s=steady.x_s, u_s=steady.u_s, lambda_hat=0.0, lambda_hat_u=0.0,
         C_hat=0.0, max_violation=0.0, envelope_holds=True,
-        dist_x=dist_x, dist_u=dist_u, envelope=np.zeros_like(dist_x),
-        remainder_norms=remainder)
+        dist_x=dist_x, dist_u=dist_u, envelope=np.zeros_like(dist_x))
 
     if np.max(dist_x, initial=0.0) < floor and np.max(dist_u, initial=0.0) < floor:
         report.notes.append("trajectory coincides with the steady state; "

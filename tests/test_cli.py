@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import lqturnpike as lt
 from lqturnpike.cli import load_scenario, main, normalized_json, ScenarioError
+from lqturnpike.integrate import CubicHermite
+from lqturnpike.riccati import dre_rhs
 
 ODE_SCENARIO = {
     "kind": "ode",
@@ -28,6 +31,21 @@ DAE_SCENARIO = {
     "y_c": [1.0],
     "y_e": [0.0],
     "t1": 10.0,
+}
+
+# the slow mode at +0.5 cannot be stabilized: there is no stabilizing
+# Riccati solution, while the finite-horizon problem is well posed
+UNSTABILIZABLE_SCENARIO = {
+    "kind": "dae",
+    "E": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    "A": [[0.5, 0.0, 0.0], [0.0, -1.0, 0.3], [0.0, 0.2, -1.0]],
+    "B": [[0.0], [1.0], [1.0]],
+    "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.1]],
+    "F": [[1.0, 0.5, 0.0]],
+    "x0": [1.0, 1.0, 0.0],
+    "y_c": [0.3, -0.2],
+    "y_e": [0.5],
+    "t1": 5.0,
 }
 
 
@@ -214,8 +232,10 @@ class TestExitCodes:
         path = _write(tmp_path, "sing.json", data)
         assert main(["oracle", str(path), "--steps", "60"]) == 3
 
-    def test_singular_decomposition_is_three(self, tmp_path, capsys):
-        # a random standard plant whose U(0) is singular at t1 = 40
+    def test_turnpike_split_matches_homogeneous_solve(self, tmp_path, capsys):
+        # a random standard plant whose U(0) is singular at t1 = 40: the
+        # split no longer inverts U(0), so it is defined and matches an
+        # independent forward sweep over the backward Riccati solve
         rng = np.random.default_rng(9)
         a = rng.standard_normal((4, 4)) / 2.0
         b, c, f = (m / np.linalg.norm(m, 2) for m in (
@@ -225,5 +245,43 @@ class TestExitCodes:
                 "C": c.tolist(), "F": f.tolist(), "x0": [1.0] * 4,
                 "y_c": [0.5], "y_e": [0.0], "t1": 40.0}
         path = _write(tmp_path, "rand.json", data)
-        assert main(["turnpike", str(path)]) == 3
-        assert "condition number" in capsys.readouterr().err
+        assert main(["turnpike", str(path)]) == 0
+
+        sc = load_scenario(path)
+        are = lt.solve_gare(sc.plant)
+        traj = lt.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1)
+        steady = lt.steady_state(sc.plant, are, sc.y_c)
+        dec = lt.decompose_state(traj, are, steady)
+        dre = lt.solve_dre(sc.plant, sc.t1, 4001)
+        field = dre_rhs(sc.plant)
+        slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
+        p_of = CubicHermite(dre.grid, dre.P.reshape(len(dre.grid), -1),
+                            slopes.reshape(len(dre.grid), -1))
+        _, x_h = lt.integrate_ode(
+            lambda t, x: (a - b @ b.T @ p_of(t).reshape(4, 4)) @ x,
+            sc.x0, 0.0, sc.t1, grid=len(traj.grid))
+        assert np.abs(dec.x_h - x_h).max() < 1e-8 * np.abs(x_h).max()
+
+    def test_turnpike_without_stabilizing_solution_is_two(self, tmp_path,
+                                                          capsys):
+        # the finite-horizon problem is solvable, but there is no stable
+        # closed loop, so the turnpike it is measured against is undefined
+        path = _write(tmp_path, "unstab.json", UNSTABILIZABLE_SCENARIO)
+        assert main(["simulate", str(path)]) == 0
+        assert main(["turnpike", str(path)]) == 2
+        assert "stabilizing-solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [UNSTABILIZABLE_SCENARIO, {
+        "kind": "ode", "A": [[0.5, 0.0], [0.0, -1.0]], "B": [[0.0], [1.0]],
+        "C": [[1.0, 0.0], [0.0, 1.0]], "F": [[1.0, 0.0], [0.0, 1.0]],
+        "x0": [1.0, 1.0], "y_c": [0.3, -0.2], "y_e": [0.5, 0.0], "t1": 5.0,
+    }], ids=["dae", "ode"])
+    def test_dre_without_stabilizing_solution(self, data, tmp_path, capsys):
+        path = _write(tmp_path, "unstab.json", data)
+        assert main(["dre", str(path)]) == 0
+        out = dict(line.split(": ", 1)
+                   for line in capsys.readouterr().out.splitlines())
+        sc = load_scenario(path)
+        traj = lt.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1)
+        assert float(out["normP_at_0"]) == pytest.approx(
+            np.linalg.norm(traj.P[0], "fro"), rel=1e-8)

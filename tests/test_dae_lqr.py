@@ -50,7 +50,7 @@ class TestDaeSteadyState:
                 continue
             y_c = rng.standard_normal(plant.k)
             st = lt.dae_steady_state(gare, y_c)   # enforces the residual
-            assert st.residual <= 1e-10 * (1.0 + np.linalg.norm(st.x_s)
+            assert st.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(st.x_s)
                                            + np.linalg.norm(y_c))
             solved += 1
         assert solved >= 5

@@ -178,7 +178,7 @@ class TestSolveGdre:
 
     def test_terminal_weight_exact(self, ref_dae):
         gdre = lt.solve_gdre(ref_dae, 10.0)
-        p_end = gdre.assemble(len(gdre.grid) - 1)
+        p_end = gdre.P[len(gdre.grid) - 1]
         assert np.array_equal(ref_dae.E.T @ p_end,
                               ref_dae.F.T @ ref_dae.F)
 
@@ -191,7 +191,7 @@ class TestSolveGdre:
         gdre = lt.solve_gdre(ref_dae, 10.0)
         bbt = ref_dae.B @ ref_dae.B.T
         for i in range(len(gdre.grid)):
-            p = gdre.assemble(i)
+            p = gdre.P[i]
             ep = ref_dae.E.T @ p
             assert np.abs(ep - ep.T).max() < 1e-10
             # closed-loop fast block stays pinned at its algebraic value
@@ -231,7 +231,7 @@ class TestStructuredDelta:
     def test_sliding_monotone_on_reduced_system(self, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
         tol = lt.Tolerances()
-        vals = [delta.sliding.at(tau) for tau in TAU_GRID]
+        vals = [delta.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
             assert lt.min_eig_sym(older - newer) >= -tol.psd_slack
         wnorm = np.linalg.norm(delta.gram_bar.W, 2)

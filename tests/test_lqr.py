@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lqturnpike as lt
+import test_coupled_descriptor as coupled
 from conftest import SQRT3, U_S_ABC, W_S_ABC, X_S_ABC
 
 
@@ -67,15 +68,33 @@ class TestSteadyState:
         plant = lt.LtiPlant(A=a, B=b, C=c, F=np.zeros((1, n)))
         are = lt.stabilizing_solution(plant)
         assert np.linalg.norm(are.P_plus, 2) > 6e3
-        st = lt.steady_state(plant, are, y_c)
-        # direct solve of the steady KKT system in (x, u, lambda)
-        kkt = np.block([[c.T @ c, np.zeros((n, m)), a.T],
-                        [np.zeros((m, n)), np.eye(m), b.T],
-                        [a, b, np.zeros((n, n))]])
-        rhs = np.concatenate([c.T @ y_c, np.zeros(m + n)])
-        x_direct = np.linalg.solve(kkt, rhs)[:n]
-        assert np.abs(st.x_s - x_direct).max() <= 1e-8 * max(
-            1.0, np.abs(x_direct).max())
+        _assert_matches_direct_kkt(plant, are, y_c)
+
+    @pytest.mark.parametrize("which", ["ref_dae", "coupled"])
+    def test_descriptor_solution_against_direct_kkt(self, which, ref_dae):
+        # the same three-row KKT system holds for E = diag(I, 0): the
+        # steady state of a descriptor plant also satisfies 0 = Ax + Bu
+        if which == "ref_dae":
+            plant, y_c = ref_dae, np.array([1.0])
+        else:
+            plant = lt.DescriptorPlant(E=coupled.E, A=coupled.A, B=coupled.B,
+                                       C=coupled.C, F=coupled.F)
+            y_c = coupled.Y_C
+        _assert_matches_direct_kkt(plant, lt.solve_gare(plant), y_c)
+
+
+def _assert_matches_direct_kkt(plant, are, y_c):
+    a, b, c = plant.A, plant.B, plant.C
+    n, m = b.shape
+    st = lt.steady_state(plant, are, y_c)
+    # direct solve of the steady KKT system in (x, u, lambda)
+    kkt = np.block([[c.T @ c, np.zeros((n, m)), a.T],
+                    [np.zeros((m, n)), np.eye(m), b.T],
+                    [a, b, np.zeros((n, n))]])
+    rhs = np.concatenate([c.T @ y_c, np.zeros(m + n)])
+    x_direct = np.linalg.solve(kkt, rhs)[:n]
+    assert np.abs(st.x_s - x_direct).max() <= 1e-8 * max(
+        1.0, np.abs(x_direct).max())
 
 
 class TestFeedforward:
@@ -129,31 +148,28 @@ class TestOptimalTrajectory:
 
 
 class TestDecomposeState:
-    def test_homogeneous_case(self, abc_fperp, are_abc, gram_abc):
+    def test_homogeneous_case(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [0.0])
         traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [0.0], 10.0)
-        dec = lt.decompose_state(traj, are_abc, gram_abc,
-                                 abc_fperp.terminal_weight, steady)
+        dec = lt.decompose_state(traj, are_abc, steady)
         assert np.abs(traj.x - dec.x_h).max() < 1e-8
         assert np.abs(dec.g).max() < 1e-8
 
-    def test_zero_time_identity(self, abc_fperp, are_abc, gram_abc):
+    def test_zero_time_identity(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [1.0])
         traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [1.0], [1.0], 10.0)
-        dec = lt.decompose_state(traj, are_abc, gram_abc,
-                                 abc_fperp.terminal_weight, steady)
+        dec = lt.decompose_state(traj, are_abc, steady)
         # transient(0) = x_s, so the remainder vanishes at t = 0
         assert np.abs(dec.transient[0] - steady.x_s).max() < 1e-12
         assert np.abs(dec.g[0]).max() < 1e-12
 
-    def test_horizon_doubling_decay(self, abc_fperp, are_abc, gram_abc):
+    def test_horizon_doubling_decay(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [1.0])
         peaks = {}
         for t1 in (10.0, 20.0):
             traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [1.0], [1.0],
                                          t1, grid=201)
-            dec = lt.decompose_state(traj, are_abc, gram_abc,
-                                     abc_fperp.terminal_weight, steady)
+            dec = lt.decompose_state(traj, are_abc, steady)
             mask = dec.grid <= 5.0
             peaks[t1] = np.max(np.linalg.norm(dec.g[mask], axis=1))
         assert peaks[20.0] <= 1e-4 * peaks[10.0]
@@ -238,3 +254,35 @@ class TestTurnpikeReport:
         assert max(c_hats) <= 3.0 * min(c_hats)
         assert dips[1] < 0.05 * dips[0]
         assert dips[2] < 0.05 * dips[1]
+
+
+def _random_standard(n=8):
+    rng = np.random.default_rng(0)
+    return lt.LtiPlant(A=rng.standard_normal((n, n)) / np.sqrt(n),
+                       B=rng.standard_normal((n, 2)),
+                       C=rng.standard_normal((2, n)),
+                       F=rng.standard_normal((1, n)))
+
+
+@pytest.mark.parametrize("which", ["fperp", "fc", "random8"])
+def test_standard_plant_is_its_identity_descriptor(which, abc_fperp, abc_fc):
+    # the one branch on the plant kind: an LtiPlant skips the structural
+    # checks of its E = I descriptor plant, and nothing else differs
+    plant = {"fperp": abc_fperp, "fc": abc_fc}.get(which) or _random_standard()
+    dplant = lt.wrap_standard(plant)
+    k, n = plant.C.shape
+    x0, y_c = np.ones(n), np.linspace(-0.5, 0.5, k)
+    y_e = np.ones(plant.F.shape[0])
+    are, dare = lt.solve_gare(plant), lt.solve_gare(dplant)
+    for name in ("P_plus", "A_plus", "A_bar", "lambda_bar", "residual"):
+        assert np.array_equal(getattr(are, name), getattr(dare, name)), name
+    assert np.array_equal(lt.solve_gdre(plant, 10.0).P,
+                          lt.solve_gdre(dplant, 10.0).P)
+    st = lt.steady_state(plant, are, y_c)
+    dst = lt.steady_state(dplant, dare, y_c)
+    for name in ("x_s", "u_s", "w_s", "kkt_residual"):
+        assert np.array_equal(getattr(st, name), getattr(dst, name)), name
+    traj = lt.optimal_trajectory(plant, x0, y_c, y_e, 10.0)
+    dtraj = lt.optimal_trajectory(dplant, x0, y_c, y_e, 10.0)
+    for name in ("x", "u", "w", "P", "cost"):
+        assert np.array_equal(getattr(traj, name), getattr(dtraj, name)), name
