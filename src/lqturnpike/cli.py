@@ -12,7 +12,7 @@ fails (printed), 3 numerical failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +277,9 @@ def cmd_simulate(sc, args):
 
 def cmd_turnpike(sc, args):
     grid = args.grid or sc.grid
+    if grid < lqr._MIN_TURNPIKE_GRID:
+        raise ScenarioError(f"turnpike needs a grid of at least "
+                            f"{lqr._MIN_TURNPIKE_GRID} nodes, got {grid}")
     gare, conv = _solve_are(sc)
     steady = lqr.steady_state(sc.plant, gare, sc.y_c, sc.tol)
     traj = _solve_trajectory(sc, grid)
@@ -298,7 +301,9 @@ def cmd_turnpike(sc, args):
 
 
 def cmd_oracle(sc, args):
-    steps = args.steps or 500
+    steps = 500 if args.steps is None else args.steps
+    if steps < oracle._MIN_STEPS:
+        raise ScenarioError(f"--steps must be >= {oracle._MIN_STEPS}")
     sol = oracle.transcribe_and_solve(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
                                       steps, sc.tol)
     traj = _solve_trajectory(sc, steps + 1)
@@ -428,13 +433,12 @@ def main(argv=None):
         if args.seed is not None:
             sc.seed = args.seed
         if args.tol_ode is not None:
-            sc.tol = Tolerances(ode_rel=args.tol_ode, ode_abs=sc.tol.ode_abs,
-                                residual=sc.tol.residual,
-                                rank_rel=sc.tol.rank_rel,
-                                psd_slack=sc.tol.psd_slack)
+            try:
+                sc.tol = replace(sc.tol, ode_rel=args.tol_ode)
+            except ValueError as exc:
+                raise ScenarioError(f"--tol-ode: {exc}")
         if args.grid is not None and args.grid < 2:
-            print("error: --grid must be >= 2", file=sys.stderr)
-            return 1
+            raise ScenarioError("--grid must be >= 2")
         if getattr(args, "dump_normalized", False):
             print(normalized_json(sc))
             return 0

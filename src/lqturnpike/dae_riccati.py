@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import integrate_ode
-from .linalg import (DEFAULT_TOL, as_matrix, expm, min_eig_sym,
-                     smallest_singular_value, solve_are_q, solve_lyapunov,
-                     spectral_abscissa, sym)
+from .linalg import (DEFAULT_TOL, as_matrix, expm, smallest_singular_value,
+                     solve_are_q, solve_lyapunov, spectral_abscissa, sym)
 from .plants import (LtiPlant, check_F_compatible, check_impulse_controllable,
                      check_pencil_regular, wrap_standard)
 
@@ -310,8 +309,9 @@ def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
     a_t = a11 - mt_k2invT @ a21 + g @ g2.T
     q_t = sym(c1.T @ c1 - a21.T @ k2_inv_n - k2_inv_n.T @ a21 - g2 @ g2.T)
 
-    lam_min = min_eig_sym(q_t)
-    scale = max(1.0, float(np.linalg.norm(q_t, 2)))
+    eigs = np.linalg.eigvalsh(q_t)   # one solve: ||Qt||_2 = max |eig|
+    lam_min = float(np.min(eigs, initial=np.inf))
+    scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
     if lam_min < -tol.psd_slack * scale:
         raise AssumptionViolation(
             "definiteness",
@@ -412,41 +412,38 @@ def _coupling_block(red, p1):
 
 def _riccati_field(red):
     """Right side of the reduced Riccati equation
-    -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt as a (t, P1) -> P1dot field."""
+    -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt as a (t, P1) -> P1dot field.
+    The increment is symmetrized, so P1 stays symmetric without a
+    projection."""
     a_t, r_t, q_t = red.A_t, red.R_t, red.Q_t
 
     def field(_t, p):
-        p = sym(p)
-        return -(a_t.T @ p + p @ a_t - p @ r_t @ p + q_t)
+        return -sym(a_t.T @ p + p @ a_t - p @ r_t @ p + q_t)
 
     return field
 
 
 def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
     """Backward Riccati solve of either plant kind: integrate the reduced
-    equation in the differential block from P1(t1) = S1, with a symmetry
-    projection after every accepted step, slave the coupling block
-    algebraically and keep the fast block constant.  No algebraic Riccati
-    equation is solved, so plants whose slow dynamics cannot be stabilized
-    get their solution too."""
+    equation in the differential block from P1(t1) = S1, slave the coupling
+    block algebraically and keep the fast block constant.  No algebraic
+    Riccati equation is solved, so plants whose slow dynamics cannot be
+    stabilized get their solution too."""
     if t1 <= 0.0:
         raise ValueError("t1 must be positive")
     plant, part, p2, red = _reduce(plant, tol)
     d, n = part.d, plant.n
-    s1 = sym(part.S1)
     try:
-        ts, p1s = integrate_ode(_riccati_field(red), s1, t1, 0.0, tol=tol,
-                                grid=grid, postprocess=sym)
+        ts, p1s = integrate_ode(_riccati_field(red), sym(part.S1), t1, 0.0,
+                                tol=tol, grid=grid)
     except NumericalError as exc:
         raise NumericalError(f"Riccati integration failed: {exc}") from exc
     # ts descends from t1 to 0; store ascending
-    order = np.argsort(ts)
     ps = np.zeros((len(ts), n, n))
-    ps[:, :d, :d] = p1s[order]
-    ps[-1, :d, :d] = s1  # terminal node is exact by construction
+    ps[:, :d, :d] = p1s[::-1]
     ps[:, d:, :d] = _coupling_block(red, ps[:, :d, :d])
     ps[:, d:, d:] = p2
-    return GdreSolution(t1=float(t1), grid=ts[order], P=ps, d=d)
+    return GdreSolution(t1=float(t1), grid=ts[::-1], P=ps, d=d)
 
 
 def gdre_fd_residual(dre, plant, tol=DEFAULT_TOL):

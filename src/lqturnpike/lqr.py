@@ -12,7 +12,7 @@ import numpy as np
 
 from .dae_riccati import _coupling_block, _reduce
 from .errors import NumericalError
-from .integrate import CubicHermite, integrate_ode
+from .integrate import integrate_ode
 from .linalg import DEFAULT_TOL, as_vector, expm, sym
 
 logger = logging.getLogger(__name__)
@@ -21,6 +21,7 @@ _DEGENERATE_DIST = 1e-14
 _DIP_FRACTION = 0.05
 _C_HAT_INFLATION = 1.05
 _MIN_FIT_SAMPLES = 4
+_MIN_TURNPIKE_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,8 @@ def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     w = w_h + w_p
 
     _, part, _, red = _reduce(plant, tol)
-    _, zs, _, _ = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
-    w_int = zs[:, plant.n * plant.n:]
+    back, _ = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
+    w_int = back.y[::-1, plant.n * plant.n:]
     return FeedforwardTrajectory(
         grid=ts, w=w, w_h=w_h, w_p=w_p, w_integrated=w_int,
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))
@@ -208,8 +209,9 @@ def _backward_pass(part, red, y_c, y_e, t1, grid, tol):
         -w1dot = (At - Rt P1)* w1 - P1 G z - c_t,
 
     with z = B2* K2^{-1} C2* y_c, c_t = C1* y_c - A21* K2^{-1} C2* y_c - g2 z
-    and g2 = N* K2^{-*} B2.  Returns the ascending nodes, the samples (P1
-    flattened, then w1, per row), the joint field and G z.
+    and g2 = N* K2^{-*} B2.  The P1 increment is symmetrized, so P1 stays
+    symmetric without a projection.  Returns the backward flow of (P1
+    flattened, then w1) and G z.
     """
     d = part.d
     a_t, r_t, q_t = red.A_t, red.R_t, red.Q_t
@@ -220,35 +222,28 @@ def _backward_pass(part, red, y_c, y_e, t1, grid, tol):
     gz = red.G @ z
 
     def joint(t, zz):
-        p1 = sym(zz[:d * d].reshape(d, d))
+        p1 = zz[:d * d].reshape(d, d)
         w1 = zz[d * d:]
-        p1dot = -(a_t.T @ p1 + p1 @ a_t - p1 @ r_t @ p1 + q_t)
+        p1dot = -sym(a_t.T @ p1 + p1 @ a_t - p1 @ r_t @ p1 + q_t)
         w1dot = -((a_t.T - p1 @ r_t) @ w1 - p1 @ gz - c_t)
         return np.concatenate([p1dot.ravel(), w1dot])
 
-    def project(zz):
-        zz = zz.copy()
-        zz[:d * d] = sym(zz[:d * d].reshape(d, d)).ravel()
-        return zz
-
     z1 = np.concatenate([sym(part.S1).ravel(), -part.F1.T @ y_e])
     try:
-        ts, zs = integrate_ode(joint, z1, t1, 0.0, tol=tol, grid=grid,
-                               postprocess=project)
+        flow = integrate_ode(joint, z1, t1, 0.0, tol=tol, grid=grid)
     except NumericalError as exc:
         raise NumericalError(f"backward pass failed: {exc}") from exc
-    order = np.argsort(ts)
-    return ts[order], zs[order], joint, gz
+    return flow, gz
 
 
 def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     """Solve the affine finite-horizon problem for a standard plant (the
     n2 = 0 case) or a semi-explicit descriptor plant.
 
-    One backward (P1, w1) pass on the reduced coefficients over a refined
+    One backward (P1, w1) pass on the reduced coefficients over the output
     grid, one forward pass x1dot = (At - Rt P1) x1 - Rt w1 - G z, in which
-    the refined backward samples enter through a cubic Hermite interpolant
-    with exact nodal slopes, then the slaved blocks at the output nodes:
+    (P1, w1) is read from the backward pass's fourth-order continuous
+    extension, then the slaved blocks at the output nodes:
     P21 = -K2^{-1}(M P1 + N), w2 = K2^{-1}(C2* y_c - M w1),
     x2 = -K2^{-*}[(A21 - B2 L1) x1 - B2 B* w] with L1 = B1* P1 + B2* P21,
     and u = -B*(P x + w).  No algebraic Riccati equation is solved.
@@ -262,16 +257,12 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
         raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
     plant, part, p2, red = _reduce(plant, tol)
     n, d = plant.n, part.d
-    refine = max(1, int(np.ceil(800 / (grid - 1))))
-    fine = refine * (grid - 1) + 1
 
-    ts_f, zs, joint, gz = _backward_pass(part, red, y_c, y_e, t1, fine, tol)
-    zdot = np.array([joint(t, z) for t, z in zip(ts_f, zs)])
-    z_interp = CubicHermite(ts_f, zs, zdot)
+    back, gz = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
     a_t, r_t = red.A_t, red.R_t
 
     def x1_field(t, x1):
-        z = z_interp(t)
+        z = back(t)
         p1 = z[:d * d].reshape(d, d)
         return (a_t - r_t @ p1) @ x1 - r_t @ z[d * d:] - gz
 
@@ -280,7 +271,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     except NumericalError as exc:
         raise NumericalError(f"state integration failed: {exc}") from exc
 
-    z_nodes = zs[::refine]
+    z_nodes = back.y[::-1]  # ascending, like ts
     ps = np.zeros((grid, n, n))
     ps[:, :d, :d] = z_nodes[:, :d * d].reshape(grid, d, d)
     ps[:, d:, :d] = _coupling_block(red, ps[:, :d, :d])
@@ -411,8 +402,9 @@ def turnpike_report(traj, steady, lam=None):
                             "envelope trivially satisfied")
         return report
 
-    if ts.size < 16:
-        raise ValueError("grid too coarse for a turnpike fit (need >= 16 nodes)")
+    if ts.size < _MIN_TURNPIKE_GRID:
+        raise ValueError("grid too coarse for a turnpike fit (need >= "
+                         f"{_MIN_TURNPIKE_GRID} nodes)")
     window = _rate_window(ts, dist_x, t1)
     lam_x = _fit_decay_rate(ts[window], dist_x[window], floor)
     lam_u = _fit_decay_rate(ts[window], dist_u[window], floor)

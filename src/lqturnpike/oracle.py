@@ -25,6 +25,7 @@ from .plants import DescriptorPlant, LtiPlant
 
 _RANK_CHECK_MAX_N = 200  # full row-rank audit (dense SVD of G) only at small sizes
 _KKT_RESIDUAL_MAX = 1e-9
+_MIN_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def _csr(parts, shape):
 
 def _assemble(plant, x0, y_c, y_e, t1, N):
     """The QP of ``discretize`` with H and G as sparse CSR arrays."""
-    if N < 50:
-        raise ValueError("N must be at least 50")
+    if N < _MIN_STEPS:
+        raise ValueError(f"N must be at least {_MIN_STEPS}")
     x0 = as_vector(x0, "x0")
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")

@@ -7,10 +7,10 @@ fixtures so the whole suite stays inside the runtime budget.
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.cli import main as cli_main
-from lqturnpike.integrate import CubicHermite
 from lqturnpike.riccati import dre_rhs
 
 from conftest import P_PLUS_ABC, SQRT2, U_S_ABC, X_S_ABC
@@ -144,8 +144,8 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     dre = lt.solve_dre(abc_fperp, T1, 2001)
     field = dre_rhs(abc_fperp)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
-    pin = CubicHermite(dre.grid, dre.P.reshape(2001, -1),
-                       slopes.reshape(2001, -1))
+    pin = CubicHermiteSpline(dre.grid, dre.P.reshape(2001, -1),
+                             slopes.reshape(2001, -1))
 
     # fundamental solution against backward integration
     def u_field(t, u):

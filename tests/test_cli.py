@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.cli import load_scenario, main, normalized_json, ScenarioError
-from lqturnpike.integrate import CubicHermite
 from lqturnpike.riccati import dre_rhs
 
 ODE_SCENARIO = {
@@ -216,6 +216,21 @@ class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("args, grid", [
+        (["oracle", "--steps", "10"], None),
+        (["oracle", "--steps", "0"], None),
+        (["turnpike", "--grid", "10"], None),
+        (["turnpike"], 10),
+        (["dre", "--tol-ode", "0"], None),
+    ], ids=["steps-below-50", "steps-zero", "turnpike-grid-option",
+            "turnpike-grid-scenario", "tol-ode-zero"])
+    def test_bad_option_is_usage_error(self, args, grid, tmp_path, capsys):
+        data = dict(ODE_SCENARIO) if grid is None else dict(ODE_SCENARIO,
+                                                            grid=grid)
+        path = _write(tmp_path, "ode.json", data)
+        assert main([args[0], str(path), *args[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_assumption_violation_is_two(self, tmp_path, capsys):
         data = dict(DAE_SCENARIO)
         data["F"] = [[0.0, 1.0]]   # weight on the algebraic variable
@@ -255,8 +270,8 @@ class TestExitCodes:
         dre = lt.solve_dre(sc.plant, sc.t1, 4001)
         field = dre_rhs(sc.plant)
         slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
-        p_of = CubicHermite(dre.grid, dre.P.reshape(len(dre.grid), -1),
-                            slopes.reshape(len(dre.grid), -1))
+        p_of = CubicHermiteSpline(dre.grid, dre.P.reshape(len(dre.grid), -1),
+                                  slopes.reshape(len(dre.grid), -1))
         _, x_h = lt.integrate_ode(
             lambda t, x: (a - b @ b.T @ p_of(t).reshape(4, 4)) @ x,
             sc.x0, 0.0, sc.t1, grid=len(traj.grid))

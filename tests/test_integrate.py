@@ -3,7 +3,6 @@ import pytest
 
 import lqturnpike as lt
 from lqturnpike.errors import NumericalError
-from lqturnpike.integrate import CubicHermite
 
 from conftest import A_PLUS_ABC
 
@@ -48,18 +47,6 @@ def test_grid_and_shape():
     assert np.allclose(ts, np.linspace(0.0, 2.0, 7))
 
 
-def test_postprocess_hook():
-    calls = []
-
-    def project(y):
-        calls.append(1)
-        return y
-
-    lt.integrate_ode(lambda t, y: -y, np.array([1.0]), 0.0, 1.0,
-                     postprocess=project)
-    assert calls
-
-
 def test_finite_time_escape():
     # ydot = y^2 from y(0)=1 blows up at t = 1
     with pytest.raises(NumericalError):
@@ -71,10 +58,20 @@ def test_empty_span_rejected():
         lt.integrate_ode(lambda t, y: y, np.array([1.0]), 1.0, 1.0)
 
 
-def test_hermite_interpolant():
-    ts = np.linspace(0.0, np.pi, 30)
-    interp = CubicHermite(ts, np.sin(ts)[:, None], np.cos(ts)[:, None])
-    fine = np.linspace(0.0, np.pi, 301)
-    err = max(abs(interp(t)[0] - np.sin(t)) for t in fine)
-    assert err < 1e-6
-    assert abs(interp(ts[7])[0] - np.sin(ts[7])) < 1e-15
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.0), (3.0, 0.0)],
+                         ids=["forward", "backward"])
+def test_flow_between_nodes_vs_expm(t0, t1):
+    # the continuous extension of Y' = A Y (a 4x2 matrix state) against
+    # e^{(t - t0) A} Y0, at points off the output grid, and exactly the node
+    # samples on it
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 4))
+    y0 = rng.standard_normal((4, 2))
+    flow = lt.integrate_ode(lambda t, y: a @ y, y0, t0, t1, grid=11)
+    ts, ys = flow
+    assert ts is flow.grid and ys is flow.y
+    for t in np.linspace(0.0, 3.0, 97):
+        exact = lt.expm((t - t0) * a) @ y0
+        assert np.abs(flow(t) - exact).max() < 1e-8 * np.abs(exact).max()
+    for t, y in zip(ts, ys):
+        assert np.array_equal(flow(t), y)

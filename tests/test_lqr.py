@@ -146,6 +146,23 @@ class TestOptimalTrajectory:
         with pytest.raises(ValueError):
             lt.optimal_trajectory(abc_fperp, [1.0], [0.0], [1.0], 10.0)
 
+    @pytest.mark.parametrize("which", ["fperp", "coupled"])
+    def test_grid_independent_at_long_horizon(self, which, abc_fperp):
+        # the forward pass reads the backward pass between the nodes, so the
+        # output grid must not change the solution at the shared nodes
+        if which == "fperp":
+            plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
+        else:
+            plant = lt.DescriptorPlant(E=coupled.E, A=coupled.A, B=coupled.B,
+                                       C=coupled.C, F=coupled.F)
+            x0, y_c, y_e = coupled.X0, coupled.Y_C, coupled.Y_E
+        coarse = lt.optimal_trajectory(plant, x0, y_c, y_e, 40.0, 101)
+        fine = lt.optimal_trajectory(plant, x0, y_c, y_e, 40.0, 2001)
+        assert np.abs(coarse.grid - fine.grid[::20]).max() < 1e-12
+        for name in ("x", "u"):
+            c, f = getattr(coarse, name), getattr(fine, name)[::20]
+            assert np.abs(c - f).max() < 1e-8 * np.abs(f).max()
+
 
 class TestDecomposeState:
     def test_homogeneous_case(self, abc_fperp, are_abc):

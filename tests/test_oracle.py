@@ -160,8 +160,16 @@ class TestSparsePath:
             assert sol.boundary_u_shift == pytest.approx(shift, abs=1e-12)
 
     def test_import_leaves_scipy_sparse_unloaded(self):
-        code = ("import sys, lqturnpike, lqturnpike.cli; "
-                "print('scipy.sparse' in sys.modules)")
+        # the trajectory and Riccati passes run on the package's own
+        # integrator: scipy.integrate would load scipy.optimize too, and
+        # with it some 22 MB of resident memory
+        code = ("import sys, lqturnpike as lt, lqturnpike.cli; "
+                "p = lt.DescriptorPlant(E=[[1, 0], [0, 0]], A=[[1, 0], [0, -1]], "
+                "B=[[1], [1]], C=[[1, 0]], F=[[1, 0]]); "
+                "lt.optimal_trajectory(p, [1, 0], [1], [0], 2.0, 11); "
+                "lt.solve_gdre(p, 2.0, 11); "
+                "print([m for m in ('scipy.sparse', 'scipy.integrate', "
+                "'scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

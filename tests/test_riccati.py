@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.errors import SingularBracketError
-from lqturnpike.integrate import CubicHermite
 from lqturnpike.riccati import dre_fd_residual, dre_rhs
 
 from conftest import P_PLUS_ABC, SQRT2
@@ -15,8 +15,8 @@ def _p_interp(plant, t1, grid=2001):
     dre = lt.solve_dre(plant, t1, grid)
     field = dre_rhs(plant)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
-    return dre, CubicHermite(dre.grid, dre.P.reshape(grid, -1),
-                             slopes.reshape(grid, -1))
+    return dre, CubicHermiteSpline(dre.grid, dre.P.reshape(grid, -1),
+                                   slopes.reshape(grid, -1))
 
 
 class TestStabilizingSolution:
