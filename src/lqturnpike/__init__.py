@@ -12,7 +12,6 @@ from .errors import (AssumptionViolation, DimensionError, NumericalError,
                      SingularBracketError, ToolkitError)
 from .linalg import (Tolerances, expm, min_eig_sym, rank_svd,
                      solve_are_stabilizing, solve_lyapunov, spectral_abscissa)
-from .integrate import integrate_ode
 from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      StructuralReport, check_F_compatible,
                      check_finite_dynamics_stable, check_impulse_controllable,
@@ -45,7 +44,7 @@ __all__ = [
     "check_finite_dynamics_stable", "check_impulse_controllable",
     "check_impulse_free", "check_pencil_regular", "decompose_state",
     "decoupled_closed_loop", "expm", "feedforward", "fundamental_solution_U",
-    "gramians", "integrate_ode", "min_eig_sym", "optimal_trajectory",
+    "gramians", "min_eig_sym", "optimal_trajectory",
     "rank_svd", "reduced_coefficients", "sliding_terminal",
     "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",
     "solve_lyapunov", "spectral_abscissa", "steady_state",

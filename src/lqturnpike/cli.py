@@ -12,7 +12,7 @@ fails (printed), 3 numerical failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +140,12 @@ def load_scenario(path):
     tol_data = _expect(data, "tolerances", where, required=False, default={})
     if not isinstance(tol_data, dict):
         raise ScenarioError(f"{where}.tolerances: expected an object")
-    for key in ("ode_rel", "ode_abs", "residual", "rank_rel", "psd_slack"):
-        if key in tol_data:
-            val = tol_data[key]
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ScenarioError(f"{where}.tolerances.{key}: expected a number")
-            tol_kwargs[key] = float(val)
+    for key, val in tol_data.items():
+        if key not in ("residual", "rank_rel", "psd_slack"):
+            raise ScenarioError(f"{where}.tolerances.{key}: unknown tolerance")
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ScenarioError(f"{where}.tolerances.{key}: expected a number")
+        tol_kwargs[key] = float(val)
     try:
         tol = Tolerances(**tol_kwargs)
     except ValueError as exc:
@@ -392,8 +392,6 @@ def build_parser():
                        help="override the output grid size")
         p.add_argument("--steps", type=int, default=None,
                        help="transcription steps (oracle command)")
-        p.add_argument("--tol-ode", type=float, default=None,
-                       help="override the relative integration tolerance")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         return p
@@ -432,11 +430,6 @@ def main(argv=None):
         sc = load_scenario(args.scenario)
         if args.seed is not None:
             sc.seed = args.seed
-        if args.tol_ode is not None:
-            try:
-                sc.tol = replace(sc.tol, ode_rel=args.tol_ode)
-            except ValueError as exc:
-                raise ScenarioError(f"--tol-ode: {exc}")
         if args.grid is not None and args.grid < 2:
             raise ScenarioError("--grid must be >= 2")
         if getattr(args, "dump_normalized", False):

@@ -1,155 +1,140 @@
-"""Adaptive Dormand-Prince 5(4) integration with output on a uniform grid
-and Shampine's fourth-order continuous extension between the nodes (Math.
-Comp. 46, 1986), which costs no further field evaluations.
+"""Exact stepping of the finite-horizon LQ two-point boundary-value problem
 
-The marcher clips its adaptive steps so that every requested output node is
-hit exactly.  Backward problems (``t1 < t0``) are handled by the time
-substitution ``tau = t0 - t`` and marched forward in ``tau``.  It is not
-scipy's ``solve_ivp``: that import also loads scipy's optimizers, some
-22 MB of resident memory in every process that solves a trajectory.
+    x' = A x - R lam + g,    lam' = -Q x - A* lam + c,
+    x(0) = x0,               lam(t1) = S x(t1) + w_end,
+
+on a uniform grid.  All coefficients are constant, so one ``expm`` of the
+augmented Hamiltonian is the exact flow map of every grid interval.  The
+Riccati solution P and the feedforward w of lam = P x + w are stepped
+backward by a Davison-Maki sweep reinitialised at every node (Davison and
+Maki, IEEE TAC 18(1), 1973; Kenney and Leipnik, IEEE TAC 30(10), 1985), and
+the state forward over the same maps.  A coarse output grid takes several
+steps per interval, so that no step's map grows by much more than e^4.
+
+P vanishes on the unobservable subspace, the largest A-invariant subspace
+in ker [Q; S], and rounding must not feed an unstable mode there into the
+observable part.  So the sweep runs in an orthonormal basis that splits that
+subspace off: P and the observable state x_o are stepped over the
+Hamiltonian restricted to (x_o, lam), in which x_o sees no unobservable
+state, and the unobservable state x_u over the full forward map.
 """
 
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, expm, sym
 
-# Butcher tableau of the Dormand-Prince 5(4) pair (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
-# Continuous extension: y(t + s h) = y + h K* _P [s, s^2, s^3, s^4] over a
-# step from t with stages K.  It is the cubic Hermite interpolant of
-# (y, k1) at s = 0 and (y_new, k7) at s = 1 plus h K* _D s^2 (1 - s)^2;
-# _E1 and _E7 pick the stages k1 and k7.
-_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-               -10690763975 / 1880347072, 701980252875 / 199316789632,
-               -1453857185 / 822651844, 69997945 / 29380423])
-_E1, _E7 = np.eye(7)[[0, 6]]
-_P = np.column_stack([_E1, 3 * _B5 - 2 * _E1 - _E7 + _D,
-                      _E1 + _E7 - 2 * _B5 - 2 * _D, _D])
-
-_MAX_FACTOR = 5.0
-_MIN_FACTOR = 0.2
-_SAFETY = 0.9
+# largest h ||H||_1 of one step: the flow maps' growth e^{h ||H||} stays
+# small, so the sweep loses no digits on coarse output grids
+_MAX_STEP_NORM = 4.0
 
 
-class Flow:
-    """Solution of ``integrate_ode``: output nodes ``grid`` with samples
-    ``y``, and ``flow(t)``, the continuous extension anywhere on the span,
-    equal to ``y[j]`` at ``grid[j]``.  Unpacks as ``ts, ys = flow``."""
-
-    def __init__(self, grid, y, sign, starts, steps, coef):
-        self.grid, self.y = grid, y
-        # starts are sign * t, ascending, and bitwise the node times where
-        # a step starts on a node
-        self._sign, self._starts, self._steps, self._coef = (
-            sign, starts, steps, coef)
-
-    def __iter__(self):
-        return iter((self.grid, self.y))
-
-    def __call__(self, t):
-        starts = self._starts
-        key = min(max(self._sign * t, starts[0]), starts[-1])
-        i = int(np.searchsorted(starts, key, side="right")) - 1
-        s = (key - starts[i]) / self._steps[i]
-        powers = np.array([1.0, s, s * s, s ** 3, s ** 4])
-        return (self._coef[i] @ powers).reshape(self.y.shape[1:])
+def _null_basis(m, scale, tol):
+    """Orthonormal basis of the numerical kernel of m: the right singular
+    vectors whose singular values are at most the rank cut times scale."""
+    _, sv, vt = np.linalg.svd(m)
+    rank = int(np.sum(sv > tol.rank_cut(m.shape) * scale))
+    return vt[rank:].T
 
 
-def integrate_ode(field, y0, t0, t1, tol=DEFAULT_TOL, grid=101):
-    """Integrate ``dy/dt = field(t, y)`` from t0 to t1.
+def _unobservable_basis(a, q, s, tol):
+    """Orthonormal basis of the largest a-invariant subspace in ker [q; s]:
+    shrink the kernel to the part that a maps back into it until it is
+    invariant (at most d rounds)."""
+    m = np.vstack([q, s])
+    basis = _null_basis(m, np.linalg.norm(m, 2), tol)
+    scale = np.linalg.norm(a, 2)
+    while basis.shape[1]:
+        moved = a @ basis
+        keep = _null_basis(moved - basis @ (basis.T @ moved), scale, tol)
+        if keep.shape[1] == basis.shape[1]:
+            break
+        basis = basis @ keep
+    return basis
 
-    Parameters
-    ----------
-    field : callable(t, y) -> array matching ``y``'s shape
-    y0 : array-like, any shape (matrices are handled transparently)
-    grid : number of output nodes; output times are uniform from t0 to t1
 
-    Returns
-    -------
-    A ``Flow`` that unpacks as ``ts, ys``: the (grid,) output times from t0
-    to t1 inclusive (in integration direction) and the (grid, *shape(y0))
-    samples; ``flow(t)`` evaluates the solution between the nodes.
+def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None, tol=DEFAULT_TOL):
+    """Solve the boundary-value problem above on ``grid`` uniform nodes from
+    0 to t1.
+
+    Returns (nodes, P, w, x): the ascending nodes, the (grid, d, d) Riccati
+    samples, the (grid, d) feedforward samples and, when ``x0`` is given,
+    the (grid, d) state samples (otherwise None).
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes")
-    if t1 == t0:
-        raise ValueError("integration span is empty (t0 == t1)")
+    if not t1 > 0.0:
+        raise ValueError("t1 must be positive")
+    d = a.shape[0]
+    u_basis = _unobservable_basis(a, q, s, tol)
+    k = u_basis.shape[1]
+    do = d - k
+    # the orthonormal basis v = [v_o, v_u]; the identity when everything is
+    # observable
+    v = (np.linalg.qr(u_basis, mode="complete")[0][:, ::-1] if k
+         else np.eye(d))
+    v_o = v[:, :do]
+    a_v = v.T @ a @ v
+    a_v[:do, do:] = 0.0                      # x_o' sees no x_u
+    q_v = np.zeros((d, d))
+    q_v[:do, :do] = v_o.T @ q @ v_o
+    ham = np.zeros((2 * d + 1, 2 * d + 1))
+    ham[:d, :d], ham[:d, d:2 * d], ham[:d, -1] = a_v, -v.T @ r @ v, v.T @ g
+    ham[d:2 * d, :d], ham[d:2 * d, d:2 * d], ham[d:2 * d, -1] = (
+        -q_v, -a_v.T, v.T @ c)
 
-    y0 = np.asarray(y0, dtype=float)
-    shape = y0.shape
-    # tau = sign (t - t0), z(tau) = y(t0 + sign tau), marched forward in tau
-    sign = 1.0 if t1 > t0 else -1.0
+    # backward sweep over (x_o, lam, 1): with lam(t + h) = P x_o(t + h) + w,
+    # x_o(t) = X x_o(t + h) + xa and lam(t) = Y x_o(t + h) + b, so that
+    # P(t) = Y X^-1 and x_o(t + h) = X^-1 (x_o(t) - xa).  Each
+    # output interval takes m steps, so that h ||H||_1 <= _MAX_STEP_NORM.
+    obs = np.r_[0:do, d:2 * d + 1]
+    ham_o = ham[np.ix_(obs, obs)]
+    m = max(1, int(np.ceil(t1 / (grid - 1) * np.linalg.norm(ham_o, 1)
+                           / _MAX_STEP_NORM)))
+    steps = (grid - 1) * m
+    h = t1 / steps
+    e = expm(-h * ham_o)
+    e[do + do:-1, :2 * do] = 0.0             # lam_u sees neither x_o nor lam_o
+    ex, ey = e[:do], e[do:-1]
+    ps = np.empty((steps + 1, do, do))
+    ws = np.empty((steps + 1, d))
+    x_inv = np.empty((steps, do, do))
+    xa = np.empty((steps, do))
+    ps[-1] = v_o.T @ s @ v_o
+    ws[-1] = v.T @ w_end
+    try:
+        for j in range(steps - 1, -1, -1):
+            p, w = ps[j + 1], ws[j + 1]
+            x_inv[j] = np.linalg.inv(ex[:, :do] + ex[:, do:2 * do] @ p)
+            xa[j] = ex[:, do:-1] @ w + ex[:, -1]
+            ps[j] = sym((ey[:do, :do] + ey[:do, do:2 * do] @ p) @ x_inv[j])
+            ws[j] = ey[:, do:-1] @ w + ey[:, -1]
+            ws[j, :do] -= ps[j] @ xa[j]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"backward sweep failed: {exc}") from exc
+    if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(ws))):
+        raise NumericalError("backward sweep became non-finite")
 
-    def f(tau, z):
-        return sign * np.asarray(field(t0 + sign * tau, z.reshape(shape)),
-                                 dtype=float).ravel()
+    nodes = np.linspace(0.0, t1, grid)
+    p_out = v_o @ ps[::m] @ v_o.T
+    p_out = 0.5 * (p_out + p_out.transpose(0, 2, 1))
+    w_out = ws[::m] @ v.T
+    if x0 is None:
+        return nodes, p_out, w_out, None
 
-    taus, zs, starts, hs, coef = _march(f, y0.ravel(), abs(t1 - t0), tol, grid)
-    return Flow(t0 + sign * taus, zs.reshape((grid,) + shape), sign,
-                sign * (t0 + sign * starts), hs, coef)
-
-
-def _march(f, y0, span, tol, grid):
-    """Forward march over [0, span], landing exactly on the uniform grid.
-
-    Returns the nodes, the node samples and, per accepted step, its start,
-    its length and its continuous extension's coefficients of powers of
-    s = (tau - start) / length; a last entry holds the end value."""
-    rtol, atol = tol.ode_rel, tol.ode_abs
-    nodes = np.linspace(0.0, span, grid)
-    out = np.empty((grid, y0.size))
-    out[0] = y0
-    steps = []
-
-    t = 0.0
-    y = y0.copy()
-    k1 = f(t, y)
-    if not np.all(np.isfinite(k1)):
-        raise NumericalError("vector field non-finite at the initial point")
-    scale0 = atol + rtol * np.linalg.norm(y, np.inf)
-    h = min(span / (grid - 1),
-            0.1 * scale0 / max(np.linalg.norm(k1, np.inf), 1e-12), span)
-    h = max(h, 1e3 * np.finfo(float).eps * span)
-
-    hmin_floor = 16.0 * np.finfo(float).eps
-    for j in range(1, grid):
-        target = nodes[j]
-        while target - t > hmin_floor * max(abs(target), 1.0):
-            h = min(h, target - t)
-            if h < hmin_floor * max(abs(t), 1.0):
-                raise NumericalError(f"step size underflow at t={t:.9g}")
-            k = np.empty((7, y.size))
-            k[0] = k1
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ k[:i])
-                k[i] = f(t + _C[i] * h, yi)
-            y_new = y + h * (_B5 @ k)
-            err_vec = h * (_E @ k)
-            if not np.all(np.isfinite(y_new)):
-                raise NumericalError(f"solution became non-finite near t={t:.9g}")
-            sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = np.sqrt(np.mean((err_vec / sc) ** 2))
-            if err <= 1.0:
-                steps.append((t, h, np.column_stack([y, h * (k.T @ _P)])))
-                k1 = k[6]  # FSAL
-                t, y = t + h, y_new
-            factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -0.2
-            h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        t = target
-        out[j] = y
-    steps.append((span, 1.0, np.column_stack([y, np.zeros((y.size, 4))])))
-    return (nodes, out) + tuple(np.array(v) for v in zip(*steps))
+    # forward: x_o over the restricted maps, x_u over the full forward map
+    # fed with lam = P x_o + w at each node
+    z = np.empty((steps + 1, d))
+    z[0] = v.T @ x0
+    ef = expm(h * ham)[do:d] if k else None
+    for j in range(steps):
+        z[j + 1, :do] = x_inv[j] @ (z[j, :do] - xa[j])
+        if k:
+            lam = ws[j].copy()
+            lam[:do] += ps[j] @ z[j, :do]
+            z[j + 1, do:] = ef[:, :d] @ z[j] + ef[:, d:-1] @ lam + ef[:, -1]
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("forward state pass became non-finite")
+    x_out = z[::m] @ v.T
+    x_out[0] = x0
+    return nodes, p_out, w_out, x_out

@@ -27,14 +27,12 @@ class Tolerances:
     relative to the largest singular value of the matrix at hand.
     """
 
-    ode_rel: float = 1e-8
-    ode_abs: float = 1e-10
     residual: float = 1e-8
     rank_rel: float | None = None
     psd_slack: float = 1e-9
 
     def __post_init__(self):
-        for name in ("ode_rel", "ode_abs", "residual", "psd_slack"):
+        for name in ("residual", "psd_slack"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name} must be strictly positive")
         if self.rank_rel is not None and not self.rank_rel > 0.0:

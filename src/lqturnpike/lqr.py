@@ -2,7 +2,7 @@
 semi-explicit descriptor plants: the optimal-trajectory pipeline, the
 steady state, the state decomposition around it and turnpike diagnostics,
 all shared by both plant kinds, and for standard plants the feedforward
-closed forms with an integration cross-check.
+closed forms, cross-checked against the exact sweep of ``integrate``.
 """
 
 import logging
@@ -12,8 +12,8 @@ import numpy as np
 
 from .dae_riccati import _coupling_block, _reduce
 from .errors import NumericalError
-from .integrate import integrate_ode
-from .linalg import DEFAULT_TOL, as_vector, expm, sym
+from .integrate import sweep
+from .linalg import DEFAULT_TOL, as_vector, expm
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class FeedforwardTrajectory:
     w: np.ndarray            # closed-form w_h + w_p per node
     w_h: np.ndarray
     w_p: np.ndarray
-    w_integrated: np.ndarray  # backward-integrated reference
+    w_integrated: np.ndarray  # the sweep's w, the cross-check
     max_discrepancy: float
 
 
@@ -183,7 +183,7 @@ def _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1):
 
 def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     """Feedforward trajectory by the closed forms, cross-checked against the
-    backward (P, w) pass of ``optimal_trajectory`` on the same grid."""
+    backward (P, w) sweep of ``optimal_trajectory`` on the same grid."""
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")
     ts = np.linspace(0.0, t1, grid)
@@ -193,57 +193,26 @@ def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
         w_h[i], w_p[i] = _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1)
     w = w_h + w_p
 
-    _, part, _, red = _reduce(plant, tol)
-    back, _ = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
-    w_int = back.y[::-1, plant.n * plant.n:]
+    w_int = optimal_trajectory(plant, np.zeros(plant.n), y_c, y_e, t1, grid,
+                               tol).w
     return FeedforwardTrajectory(
         grid=ts, w=w, w_h=w_h, w_p=w_p, w_integrated=w_int,
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))
-
-
-def _backward_pass(part, red, y_c, y_e, t1, grid, tol):
-    """Joint backward integration of the reduced Riccati and feedforward
-    equations from P1(t1) = S1, w1(t1) = -F1* y_e:
-
-        -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt,
-        -w1dot = (At - Rt P1)* w1 - P1 G z - c_t,
-
-    with z = B2* K2^{-1} C2* y_c, c_t = C1* y_c - A21* K2^{-1} C2* y_c - g2 z
-    and g2 = N* K2^{-*} B2.  The P1 increment is symmetrized, so P1 stays
-    symmetric without a projection.  Returns the backward flow of (P1
-    flattened, then w1) and G z.
-    """
-    d = part.d
-    a_t, r_t, q_t = red.A_t, red.R_t, red.Q_t
-    k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
-    z = part.B2.T @ k2_cy
-    g2 = np.linalg.solve(red.K2, red.N).T @ part.B2
-    c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
-    gz = red.G @ z
-
-    def joint(t, zz):
-        p1 = zz[:d * d].reshape(d, d)
-        w1 = zz[d * d:]
-        p1dot = -sym(a_t.T @ p1 + p1 @ a_t - p1 @ r_t @ p1 + q_t)
-        w1dot = -((a_t.T - p1 @ r_t) @ w1 - p1 @ gz - c_t)
-        return np.concatenate([p1dot.ravel(), w1dot])
-
-    z1 = np.concatenate([sym(part.S1).ravel(), -part.F1.T @ y_e])
-    try:
-        flow = integrate_ode(joint, z1, t1, 0.0, tol=tol, grid=grid)
-    except NumericalError as exc:
-        raise NumericalError(f"backward pass failed: {exc}") from exc
-    return flow, gz
 
 
 def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     """Solve the affine finite-horizon problem for a standard plant (the
     n2 = 0 case) or a semi-explicit descriptor plant.
 
-    One backward (P1, w1) pass on the reduced coefficients over the output
-    grid, one forward pass x1dot = (At - Rt P1) x1 - Rt w1 - G z, in which
-    (P1, w1) is read from the backward pass's fourth-order continuous
-    extension, then the slaved blocks at the output nodes:
+    One exact ``integrate.sweep`` of the reduced problem: (P1, w1) backward
+    from P1(t1) = S1, w1(t1) = -F1* y_e under
+
+        -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt,
+        -w1dot = (At - Rt P1)* w1 - P1 G z - c_t,
+
+    and x1 forward under x1dot = (At - Rt P1) x1 - Rt w1 - G z, with
+    z = B2* K2^{-1} C2* y_c, c_t = C1* y_c - A21* K2^{-1} C2* y_c - g2 z and
+    g2 = N* K2^{-*} B2.  Then the slaved blocks at the output nodes:
     P21 = -K2^{-1}(M P1 + N), w2 = K2^{-1}(C2* y_c - M w1),
     x2 = -K2^{-*}[(A21 - B2 L1) x1 - B2 B* w] with L1 = B1* P1 + B2* P21,
     and u = -B*(P x + w).  No algebraic Riccati equation is solved.
@@ -258,25 +227,17 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     plant, part, p2, red = _reduce(plant, tol)
     n, d = plant.n, part.d
 
-    back, gz = _backward_pass(part, red, y_c, y_e, t1, grid, tol)
-    a_t, r_t = red.A_t, red.R_t
+    k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
+    z = part.B2.T @ k2_cy
+    g2 = np.linalg.solve(red.K2, red.N).T @ part.B2
+    c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
+    ts, p1s, w1, x1s = sweep(red.A_t, red.R_t, red.Q_t, part.S1, -red.G @ z,
+                             c_t, -part.F1.T @ y_e, t1, grid, x0[:d], tol)
 
-    def x1_field(t, x1):
-        z = back(t)
-        p1 = z[:d * d].reshape(d, d)
-        return (a_t - r_t @ p1) @ x1 - r_t @ z[d * d:] - gz
-
-    try:
-        ts, x1s = integrate_ode(x1_field, x0[:d], 0.0, t1, tol=tol, grid=grid)
-    except NumericalError as exc:
-        raise NumericalError(f"state integration failed: {exc}") from exc
-
-    z_nodes = back.y[::-1]  # ascending, like ts
     ps = np.zeros((grid, n, n))
-    ps[:, :d, :d] = z_nodes[:, :d * d].reshape(grid, d, d)
-    ps[:, d:, :d] = _coupling_block(red, ps[:, :d, :d])
+    ps[:, :d, :d] = p1s
+    ps[:, d:, :d] = _coupling_block(red, p1s)
     ps[:, d:, d:] = p2
-    w1 = z_nodes[:, d * d:]
     w2 = np.linalg.solve(red.K2, (part.C2.T @ y_c - w1 @ red.M.T).T).T
     ws = np.hstack([w1, w2])
     # K2* x2 = -[(A21 - B2 L1) x1 - B2 B* w] with L1 = B* P[:, :d]

@@ -9,19 +9,13 @@ TAC 32(8), 1987).  ``stabilizing_solution``, ``solve_dre`` and
 
 import numpy as np
 
-from .dae_riccati import (StructuredDelta, _reduce, _riccati_field,
-                          gdre_fd_residual, solve_gare, solve_gdre)
+from .dae_riccati import (StructuredDelta, gdre_fd_residual, solve_gare,
+                          solve_gdre)
 from .linalg import DEFAULT_TOL, as_matrix, expm, sym
 
 stabilizing_solution = solve_gare
 solve_dre = solve_gdre
 dre_fd_residual = gdre_fd_residual
-
-
-def dre_rhs(plant):
-    """Right side of the backward Riccati equation
-    -Pdot = A*P + PA - P BB* P + C*C as a (t, P) -> Pdot field."""
-    return _riccati_field(_reduce(plant, DEFAULT_TOL)[3])
 
 
 def sliding_terminal(S, are, gram, tol=DEFAULT_TOL):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import lqturnpike as lt
 
@@ -13,6 +14,30 @@ W_ABC = np.array([[5.0 / 32.0, 1.0 / 16.0], [1.0 / 16.0, 1.0 / 4.0]])
 X_S_ABC = np.array([-SQRT3 / 8.0, SQRT3 / 4.0])      # for y_c = 1
 U_S_ABC = np.array([SQRT3 / 4.0])
 W_S_ABC = np.array([4.0 * SQRT3 / 3.0, -5.0 * SQRT3 / 6.0])
+
+
+def integrate(field, y0, t0, t1, grid, rtol=1e-12):
+    """Independent cross-check: ``dy/dt = field(t, y)`` for an array-valued
+    y from t0 to t1 (either direction) by scipy's DOP853, sampled on a
+    uniform grid of ``grid`` nodes.  Returns (ts, ys)."""
+    y0 = np.asarray(y0, dtype=float)
+    ts = np.linspace(t0, t1, grid)
+    sol = solve_ivp(lambda t, y: np.ravel(field(t, y.reshape(y0.shape))),
+                    (t0, t1), y0.ravel(), method="DOP853", t_eval=ts,
+                    rtol=rtol, atol=rtol * 1e-2)
+    assert sol.success, sol.message
+    return ts, sol.y.T.reshape((grid,) + y0.shape)
+
+
+def riccati_field(plant):
+    """Right side of -Pdot = A*P + PA - P BB* P + C*C of a standard plant as
+    a (t, P) -> Pdot field."""
+    a, b, c = plant.A, plant.B, plant.C
+
+    def field(_t, p):
+        return -(a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c)
+
+    return field
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.cli import main as cli_main
-from lqturnpike.riccati import dre_rhs
 
-from conftest import P_PLUS_ABC, SQRT2, U_S_ABC, X_S_ABC
+from conftest import (P_PLUS_ABC, SQRT2, U_S_ABC, X_S_ABC, integrate,
+                      riccati_field)
 
 T1 = 10.0
 X0_ODE = [1.0, 1.0]
@@ -142,7 +142,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     a, b = abc_fperp.A, abc_fperp.B
 
     dre = lt.solve_dre(abc_fperp, T1, 2001)
-    field = dre_rhs(abc_fperp)
+    field = riccati_field(abc_fperp)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
     pin = CubicHermiteSpline(dre.grid, dre.P.reshape(2001, -1),
                              slopes.reshape(2001, -1))
@@ -151,7 +151,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     def u_field(t, u):
         return (a - b @ b.T @ pin(t).reshape(2, 2)) @ u
 
-    ts, us = lt.integrate_ode(u_field, np.eye(2), T1, 0.0, grid=21)
+    ts, us = integrate(u_field, np.eye(2), T1, 0.0, grid=21)
     err_u = max(
         np.abs(lt.fundamental_solution_U(s, are_abc, gram_abc, t, T1)
                - u).max() / (1.0 + np.abs(u).max())
@@ -160,7 +160,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
 
     # forward transition map against integrated propagation from s0 = 2
     def x_prop(col):
-        _, ys = lt.integrate_ode(u_field, col, 2.0, 8.0, grid=13)
+        _, ys = integrate(u_field, col, 2.0, 8.0, grid=13)
         return ys[-1]
 
     prop = np.column_stack([x_prop(e) for e in np.eye(2)])
@@ -174,7 +174,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
 
     cols = []
     for e in np.eye(2):
-        _, ys = lt.integrate_ode(y_field, e, 8.0, 2.0, grid=13)
+        _, ys = integrate(y_field, e, 8.0, 2.0, grid=13)
         cols.append(ys[-1])
     bwd = lt.transition_backward(2.0, 8.0, T1, s, are_abc, gram_abc)
     err_bwd = np.abs(np.column_stack(cols) - bwd).max() / (1.0 + np.abs(bwd).max())

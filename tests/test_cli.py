@@ -6,7 +6,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.cli import load_scenario, main, normalized_json, ScenarioError
-from lqturnpike.riccati import dre_rhs
+
+from conftest import integrate, riccati_field
 
 ODE_SCENARIO = {
     "kind": "ode",
@@ -75,6 +76,14 @@ class TestScenarioParsing:
         data["x0"] = [1.0]
         path = _write(tmp_path, "s.json", data)
         with pytest.raises(ScenarioError, match="x0"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key", ["ode_rel", "residul"])
+    def test_unknown_tolerance(self, key, tmp_path):
+        # a removed or misspelled tolerance is refused, not silently ignored
+        data = dict(ODE_SCENARIO, tolerances={key: 1e-6})
+        path = _write(tmp_path, "s.json", data)
+        with pytest.raises(ScenarioError, match=f"tolerances.{key}"):
             load_scenario(path)
 
     def test_json_error_location(self, tmp_path):
@@ -194,10 +203,6 @@ class TestCommands:
         assert any("state distance" in n and "degeneracy floor" in n
                    for n in notes)
 
-    def test_tol_ode_override(self, tmp_path, capsys):
-        path = _write(tmp_path, "ode.json", ODE_SCENARIO)
-        assert main(["dre", str(path), "--tol-ode", "1e-6"]) == 0
-
     def test_turnpike_csv_deterministic(self, tmp_path, capsys):
         path = _write(tmp_path, "dae.json", DAE_SCENARIO)
         csv_path = tmp_path / "dae_turnpike.csv"
@@ -221,9 +226,8 @@ class TestExitCodes:
         (["oracle", "--steps", "0"], None),
         (["turnpike", "--grid", "10"], None),
         (["turnpike"], 10),
-        (["dre", "--tol-ode", "0"], None),
     ], ids=["steps-below-50", "steps-zero", "turnpike-grid-option",
-            "turnpike-grid-scenario", "tol-ode-zero"])
+            "turnpike-grid-scenario"])
     def test_bad_option_is_usage_error(self, args, grid, tmp_path, capsys):
         data = dict(ODE_SCENARIO) if grid is None else dict(ODE_SCENARIO,
                                                             grid=grid)
@@ -268,11 +272,11 @@ class TestExitCodes:
         steady = lt.steady_state(sc.plant, are, sc.y_c)
         dec = lt.decompose_state(traj, are, steady)
         dre = lt.solve_dre(sc.plant, sc.t1, 4001)
-        field = dre_rhs(sc.plant)
+        field = riccati_field(sc.plant)
         slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
         p_of = CubicHermiteSpline(dre.grid, dre.P.reshape(len(dre.grid), -1),
                                   slopes.reshape(len(dre.grid), -1))
-        _, x_h = lt.integrate_ode(
+        _, x_h = integrate(
             lambda t, x: (a - b @ b.T @ p_of(t).reshape(4, 4)) @ x,
             sc.x0, 0.0, sc.t1, grid=len(traj.grid))
         assert np.abs(dec.x_h - x_h).max() < 1e-8 * np.abs(x_h).max()

@@ -201,13 +201,12 @@ class TestRankAndSpectra:
 class TestTolerances:
     def test_defaults(self):
         tol = lt.Tolerances()
-        assert tol.ode_rel == 1e-8 and tol.ode_abs == 1e-10
         assert tol.residual == 1e-8 and tol.psd_slack == 1e-9
         eps = np.finfo(float).eps
         assert tol.rank_cut((5, 3)) == pytest.approx(5 * eps)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
-            lt.Tolerances(ode_rel=0.0)
+            lt.Tolerances(residual=0.0)
         with pytest.raises(ValueError):
             lt.Tolerances(rank_rel=-1e-3)

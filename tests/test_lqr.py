@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import lqturnpike as lt
 import test_coupled_descriptor as coupled
-from conftest import SQRT3, U_S_ABC, W_S_ABC, X_S_ABC
+from conftest import SQRT3, U_S_ABC, W_S_ABC, X_S_ABC, integrate
 
 
 class TestSteadyState:
@@ -148,8 +149,8 @@ class TestOptimalTrajectory:
 
     @pytest.mark.parametrize("which", ["fperp", "coupled"])
     def test_grid_independent_at_long_horizon(self, which, abc_fperp):
-        # the forward pass reads the backward pass between the nodes, so the
-        # output grid must not change the solution at the shared nodes
+        # the sweep steps exact flow maps, so the output grid must not
+        # change the solution at the shared nodes
         if which == "fperp":
             plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
         else:
@@ -162,6 +163,46 @@ class TestOptimalTrajectory:
         for name in ("x", "u"):
             c, f = getattr(coarse, name), getattr(fine, name)[::20]
             assert np.abs(c - f).max() < 1e-8 * np.abs(f).max()
+
+    @pytest.mark.parametrize("plant_name", ["abc_fperp", "abc_fc"])
+    def test_coarse_grid_at_long_horizon(self, plant_name, request):
+        # one interval of 20 time units takes several steps, so that the
+        # flow maps stay well scaled; the nodes match a fine grid's
+        plant = request.getfixturevalue(plant_name)
+        coarse = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0, 3)
+        fine = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0,
+                                     2001)
+        for name in ("x", "u"):
+            c, f = getattr(coarse, name), getattr(fine, name)[::1000]
+            assert (np.abs(c - f).max(axis=0)
+                    <= 1e-8 * np.abs(f).max(axis=0)).all()
+
+    @pytest.mark.parametrize("grid", [21, 101])
+    def test_nondetectable_plant_at_long_horizon(self, grid, abc_fc):
+        # F = C leaves the unstable mode of A unobserved: P vanishes on it
+        # while x1 grows like e^{2t}.  Reference: DOP853 on the joint
+        # backward (P, w) equations with dense output, then x forward.
+        a, b, c, f = abc_fc.A, abc_fc.B, abc_fc.C, abc_fc.F
+        bbt, y_e, t1 = b @ b.T, np.array([1.0]), 40.0
+
+        def backward(_t, z):
+            p, w = z[:4].reshape(2, 2), z[4:]
+            pdot = -(a.T @ p + p @ a - p @ bbt @ p + c.T @ c)
+            return np.concatenate([pdot.ravel(), -(a - bbt @ p).T @ w])
+
+        pw = solve_ivp(backward, (t1, 0.0),
+                       np.concatenate([(f.T @ f).ravel(), -f.T @ y_e]),
+                       method="DOP853", rtol=1e-13, atol=1e-15,
+                       dense_output=True).sol
+
+        def forward(t, x):
+            z = pw(t)
+            return a @ x - bbt @ (z[:4].reshape(2, 2) @ x + z[4:])
+
+        _, x_ref = integrate(forward, [1.0, 1.0], 0.0, t1, grid, rtol=1e-13)
+        traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], y_e, t1, grid)
+        err = np.abs(traj.x - x_ref).max(axis=0) / np.abs(x_ref).max(axis=0)
+        assert err.max() < 1e-10
 
 
 class TestDecomposeState:

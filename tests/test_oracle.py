@@ -160,9 +160,9 @@ class TestSparsePath:
             assert sol.boundary_u_shift == pytest.approx(shift, abs=1e-12)
 
     def test_import_leaves_scipy_sparse_unloaded(self):
-        # the trajectory and Riccati passes run on the package's own
-        # integrator: scipy.integrate would load scipy.optimize too, and
-        # with it some 22 MB of resident memory
+        # the trajectory and Riccati passes step exact flow maps with
+        # scipy.linalg.expm and integrate no ODE: scipy.integrate would load
+        # scipy.optimize too, and with it some 22 MB of resident memory
         code = ("import sys, lqturnpike as lt, lqturnpike.cli; "
                 "p = lt.DescriptorPlant(E=[[1, 0], [0, 0]], A=[[1, 0], [0, -1]], "
                 "B=[[1], [1]], C=[[1, 0]], F=[[1, 0]]); "

@@ -4,16 +4,16 @@ from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.errors import SingularBracketError
-from lqturnpike.riccati import dre_fd_residual, dre_rhs
+from lqturnpike.riccati import dre_fd_residual
 
-from conftest import P_PLUS_ABC, SQRT2
+from conftest import P_PLUS_ABC, SQRT2, integrate, riccati_field
 
 TAU_GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
 
 def _p_interp(plant, t1, grid=2001):
     dre = lt.solve_dre(plant, t1, grid)
-    field = dre_rhs(plant)
+    field = riccati_field(plant)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
     return dre, CubicHermiteSpline(dre.grid, dre.P.reshape(grid, -1),
                                    slopes.reshape(grid, -1))
@@ -186,7 +186,7 @@ class TestFundamentalSolution:
             p = pin(t).reshape(2, 2)
             return (abc_fperp.A - abc_fperp.B @ abc_fperp.B.T @ p) @ u
 
-        ts, us = lt.integrate_ode(field, np.eye(2), 10.0, 0.0, grid=21)
+        ts, us = integrate(field, np.eye(2), 10.0, 0.0, grid=21)
         err = max(
             np.abs(lt.fundamental_solution_U(s, are_abc, gram_abc, t, 10.0)
                    - u).max() / (1.0 + np.abs(u).max())
@@ -246,7 +246,7 @@ class TestTransitionMaps:
         for i in range(2):
             e = np.zeros(2)
             e[i] = 1.0
-            _, ys = lt.integrate_ode(field, e, 7.0, 3.0, grid=11)
+            _, ys = integrate(field, e, 7.0, 3.0, grid=11)
             cols.append(ys[-1])
         prop = np.column_stack(cols)
         bwd = lt.transition_backward(3.0, 7.0, 10.0, s, are_abc, gram_abc)
