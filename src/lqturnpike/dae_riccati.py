@@ -420,8 +420,8 @@ def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
     plant, part, p2, red = _reduce(plant, tol)
     d, n = part.d, plant.n
     zero = np.zeros(d)
-    ts, p1s, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,
-                          zero, t1, grid, tol=tol)
+    ts, p1s, _, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,
+                             zero, t1, grid, tol=tol)
     ps = np.zeros((grid, n, n))
     ps[:, :d, :d] = p1s
     ps[:, d:, :d] = _coupling_block(red, p1s)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dae_riccati import _coupling_block, _reduce
 from .errors import NumericalError
-from .integrate import sweep
+from .integrate import flow_maps, sweep
 from .linalg import DEFAULT_TOL, as_vector, expm
 
 logger = logging.getLogger(__name__)
@@ -22,6 +22,8 @@ _DIP_FRACTION = 0.05
 _C_HAT_INFLATION = 1.05
 _MIN_FIT_SAMPLES = 4
 _MIN_TURNPIKE_GRID = 16
+# below this rank gap of the unobservable split a trajectory carries a note
+_RANK_GAP_WARN = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,9 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     z = part.B2.T @ k2_cy
     g2 = np.linalg.solve(red.K2, red.N).T @ part.B2
     c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
-    ts, p1s, w1, x1s = sweep(red.A_t, red.R_t, red.Q_t, part.S1, -red.G @ z,
-                             c_t, -part.F1.T @ y_e, t1, grid, x0[:d], tol)
+    ts, p1s, w1, x1s, gap = sweep(red.A_t, red.R_t, red.Q_t, part.S1,
+                                  -red.G @ z, c_t, -part.F1.T @ y_e, t1, grid,
+                                  x0[:d], tol)
 
     ps = np.zeros((grid, n, n))
     ps[:, :d, :d] = p1s
@@ -254,6 +257,13 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
         raise NumericalError(
             f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
     notes = []
+    if gap < _RANK_GAP_WARN:
+        note = (f"unobservable split has rank gap {gap:.1e} < sqrt(eps): a "
+                "mode that the state and terminal weights barely see is "
+                "stepped as observable, and a relative change of that size in "
+                "them could split it off and change the trajectory")
+        logger.warning(note)
+        notes.append(note)
     if np.any(x0[d:]):
         logger.info("supplied algebraic initial values are overridden by the "
                     "consistency relation")
@@ -287,8 +297,9 @@ def decompose_state(traj, are, steady, tol=DEFAULT_TOL):
                              np.zeros(plant.F.shape[0]), float(ts[-1]),
                              ts.size, tol).x
     lift = np.vstack([np.eye(d), -np.linalg.solve(are.A_p2, are.A_p21)])
-    transient = np.array([lift @ (expm(t * are.A_bar) @ steady.x_s1)
-                          for t in ts])
+    # e^{t Abar} on the uniform grid: the powers of one step's map
+    maps = flow_maps(expm((ts[1] - ts[0]) * are.A_bar), ts.size - 1)
+    transient = np.vstack([steady.x_s1, maps @ steady.x_s1]) @ lift.T
     g = traj.x - x_h - steady.x_s + transient
     return StateDecomposition(grid=ts, x_h=x_h, x_s=steady.x_s,
                               transient=transient, g=g)

@@ -147,12 +147,18 @@ class TestOptimalTrajectory:
         with pytest.raises(ValueError):
             lt.optimal_trajectory(abc_fperp, [1.0], [0.0], [1.0], 10.0)
 
-    @pytest.mark.parametrize("which", ["fperp", "coupled"])
+    @pytest.mark.parametrize("which", ["fperp", "coupled", "near_fc"])
     def test_grid_independent_at_long_horizon(self, which, abc_fperp):
         # the sweep steps exact flow maps, so the output grid must not
-        # change the solution at the shared nodes
+        # change the solution at the shared nodes.  near_fc: F = [1e-10,
+        # sqrt 3] barely sees the unstable mode, and P's tiny entries along
+        # it must stay accurate while x1 grows to 1e10
         if which == "fperp":
             plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
+        elif which == "near_fc":
+            plant = lt.LtiPlant(A=abc_fperp.A, B=abc_fperp.B, C=abc_fperp.C,
+                                F=np.array([[1e-10, SQRT3]]))
+            x0, y_c, y_e = [1.0, 1.0], [0.0], [1.0]
         else:
             plant = lt.DescriptorPlant(E=coupled.E, A=coupled.A, B=coupled.B,
                                        C=coupled.C, F=coupled.F)
@@ -177,32 +183,67 @@ class TestOptimalTrajectory:
             assert (np.abs(c - f).max(axis=0)
                     <= 1e-8 * np.abs(f).max(axis=0)).all()
 
-    @pytest.mark.parametrize("grid", [21, 101])
+    @pytest.mark.parametrize("grid", [21, 101, 2001])
     def test_nondetectable_plant_at_long_horizon(self, grid, abc_fc):
         # F = C leaves the unstable mode of A unobserved: P vanishes on it
-        # while x1 grows like e^{2t}.  Reference: DOP853 on the joint
-        # backward (P, w) equations with dense output, then x forward.
-        a, b, c, f = abc_fc.A, abc_fc.B, abc_fc.C, abc_fc.F
-        bbt, y_e, t1 = b @ b.T, np.array([1.0]), 40.0
-
-        def backward(_t, z):
-            p, w = z[:4].reshape(2, 2), z[4:]
-            pdot = -(a.T @ p + p @ a - p @ bbt @ p + c.T @ c)
-            return np.concatenate([pdot.ravel(), -(a - bbt @ p).T @ w])
-
-        pw = solve_ivp(backward, (t1, 0.0),
-                       np.concatenate([(f.T @ f).ravel(), -f.T @ y_e]),
-                       method="DOP853", rtol=1e-13, atol=1e-15,
-                       dense_output=True).sol
-
-        def forward(t, x):
-            z = pw(t)
-            return a @ x - bbt @ (z[:4].reshape(2, 2) @ x + z[4:])
-
-        _, x_ref = integrate(forward, [1.0, 1.0], 0.0, t1, grid, rtol=1e-13)
+        # while x1 grows like e^{2t}.  Grid 2001 puts many nodes in each
+        # block of the sweep, for P, x_o and the unobserved x_u alike.
+        y_e, t1 = np.array([1.0]), 40.0
+        _, x_ref = _dop853_trajectory(abc_fc, [1.0, 1.0], [0.0], y_e, t1, grid)
         traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], y_e, t1, grid)
         err = np.abs(traj.x - x_ref).max(axis=0) / np.abs(x_ref).max(axis=0)
         assert err.max() < 1e-10
+
+    @pytest.mark.parametrize("grid", [101, 2001])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_random_plant_at_long_horizon(self, n, grid):
+        plant = _random_standard(n, seed=1)
+        x0, y_c, y_e, t1 = np.ones(n), np.array([0.5, -0.5]), [1.0], 40.0
+        p_ref, x_ref = _dop853_trajectory(plant, x0, y_c, y_e, t1, grid)
+        traj = lt.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
+        assert (np.abs(traj.x - x_ref).max(axis=0)
+                <= 1e-8 * np.abs(x_ref).max(axis=0)).all()
+        assert (np.abs(traj.P - p_ref).max(axis=(0, 1))
+                <= 1e-8 * np.abs(p_ref).max(axis=(0, 1))).all()
+
+    @pytest.mark.parametrize("f_row, noted", [
+        ([1e-14, SQRT3], True), ([1e-10, SQRT3], True),
+        ([1e-6, SQRT3], False), ([SQRT3, 0.0], False), ([0.0, SQRT3], False)])
+    def test_rank_gap_of_the_split_is_reported(self, f_row, noted, caplog):
+        # F = [eps, sqrt 3] barely sees the unstable mode, which the split
+        # then steps as observable; a gap below sqrt(eps) is named.  F-perp
+        # and F = C split cleanly.
+        plant = lt.LtiPlant(A=np.diag([2.0, -1.0]), B=np.array([[1.0], [1.0]]),
+                            C=np.array([[0.0, SQRT3]]), F=np.array([f_row]))
+        with caplog.at_level("WARNING", logger="lqturnpike.lqr"):
+            traj = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0)
+        assert any("rank gap" in note for note in traj.notes) == noted
+        assert any("rank gap" in rec.message for rec in caplog.records) == noted
+
+
+def _dop853_trajectory(plant, x0, y_c, y_e, t1, grid):
+    """P and x of a standard plant on ``grid`` uniform nodes by DOP853: the
+    joint backward (P, w) equations with dense output, then x forward."""
+    a, b, c, f = plant.A, plant.B, plant.C, plant.F
+    n = a.shape[0]
+    bbt, cy = b @ b.T, c.T @ np.asarray(y_c, dtype=float)
+
+    def backward(_t, z):
+        p, w = z[:n * n].reshape(n, n), z[n * n:]
+        pdot = -(a.T @ p + p @ a - p @ bbt @ p + c.T @ c)
+        return np.concatenate([pdot.ravel(), -(a - bbt @ p).T @ w + cy])
+
+    pw = solve_ivp(backward, (t1, 0.0),
+                   np.concatenate([(f.T @ f).ravel(), -f.T @ np.asarray(y_e)]),
+                   method="DOP853", rtol=1e-13, atol=1e-15,
+                   dense_output=True).sol
+
+    def forward(t, x):
+        z = pw(t)
+        return a @ x - bbt @ (z[:n * n].reshape(n, n) @ x + z[n * n:])
+
+    ts, x_ref = integrate(forward, x0, 0.0, t1, grid, rtol=1e-13)
+    return pw(ts)[:n * n].T.reshape(grid, n, n), x_ref
 
 
 class TestDecomposeState:
@@ -314,8 +355,8 @@ class TestTurnpikeReport:
         assert dips[2] < 0.05 * dips[1]
 
 
-def _random_standard(n=8):
-    rng = np.random.default_rng(0)
+def _random_standard(n=8, seed=0):
+    rng = np.random.default_rng(seed)
     return lt.LtiPlant(A=rng.standard_normal((n, n)) / np.sqrt(n),
                        B=rng.standard_normal((n, 2)),
                        C=rng.standard_normal((2, n)),
