@@ -1,11 +1,12 @@
 """Numerical toolkit for finite-horizon affine LQR problems on standard and
-descriptor (DAE) plants: Riccati solvers, closed-form transition maps,
-turnpike diagnostics, and a direct-transcription verification oracle.
+descriptor (DAE) plants: Riccati solvers, the closed forms of
+``StructuredDelta`` (P(t) - P+, the fundamental solution and the transition
+maps), turnpike diagnostics, and a direct-transcription verification oracle.
 
 A standard plant is solved as its d = n descriptor plant, so one set of
 solvers serves both kinds.  The former names ``stabilizing_solution``,
-``solve_dre``, ``dae_optimal_trajectory``, ``dae_steady_state`` and
-``delta_formula`` stay importable, outside ``__all__``.
+``solve_dre``, ``dae_optimal_trajectory`` and ``dae_steady_state`` stay
+importable, outside ``__all__``.
 """
 
 from .errors import (AssumptionViolation, DimensionError, NumericalError,
@@ -19,12 +20,9 @@ from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      structural_report, wrap_standard)
 from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
                           StructuredDelta, check_convergence_condition,
-                          decoupled_closed_loop, gramians,
-                          reduced_coefficients, solve_fast_block, solve_gare,
-                          solve_gdre, structured_delta)
-from .riccati import (delta_formula, fundamental_solution_U, sliding_terminal,
-                      solve_dre, stabilizing_solution, transition_backward,
-                      transition_forward)
+                          gramians, reduced_coefficients, solve_fast_block,
+                          solve_gare, solve_gdre, structured_delta)
+from .riccati import solve_dre, stabilizing_solution
 from .lqr import (FeedforwardTrajectory, OptimalTrajectory, StateDecomposition,
                   SteadyState, TurnpikeReport, decompose_state, feedforward,
                   optimal_trajectory, steady_state, turnpike_report)
@@ -43,12 +41,10 @@ __all__ = [
     "check_convergence_condition", "check_F_compatible",
     "check_finite_dynamics_stable", "check_impulse_controllable",
     "check_impulse_free", "check_pencil_regular", "decompose_state",
-    "decoupled_closed_loop", "expm", "feedforward", "fundamental_solution_U",
-    "gramians", "min_eig_sym", "optimal_trajectory",
-    "rank_svd", "reduced_coefficients", "sliding_terminal",
+    "expm", "feedforward", "gramians", "min_eig_sym", "optimal_trajectory",
+    "rank_svd", "reduced_coefficients",
     "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",
     "solve_lyapunov", "spectral_abscissa", "steady_state",
     "structural_report", "structured_delta", "transcribe_and_solve",
-    "transition_backward", "transition_forward", "turnpike_report",
-    "wrap_standard",
+    "turnpike_report", "wrap_standard",
 ]

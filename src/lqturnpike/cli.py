@@ -10,6 +10,7 @@ fails (printed), 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -374,7 +375,9 @@ def cmd_figure1(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process for every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="lqturnpike",
         description="Finite-horizon LQR and turnpike diagnostics for "

@@ -45,8 +45,11 @@ class GramianSet:
     A_plus: np.ndarray
 
     def at(self, tau):
-        e = expm(tau * self.A_plus)
-        return self.W - e @ self.W @ e.T
+        return self._of(expm(tau * self.A_plus))
+
+    def _of(self, e):
+        """W(tau) from e = e^{tau A+}, for one span or a stack of them."""
+        return self.W - e @ self.W @ np.swapaxes(e, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,16 @@ class GdreSolution:
 
 @dataclass(frozen=True)
 class StructuredDelta:
-    """Closed form of P(t) - P+ for the terminal block S1.  With
-    tau = t1 - t the differential block is e^{tau Abar*} S~(tau) e^{tau Abar},
-    where S~(tau) = (S1 - P1+)[I + Wbar(tau)(S1 - P1+)]^{-1} is the sliding
-    terminal condition; the coupling block is -A+2^{-*} A+12* times it, and
-    the second block column vanishes.  For a standard plant this is
-    P(t) - P+ itself."""
+    """Closed forms for the terminal block S1, with tau = t1 - t.  P(t) - P+
+    has the differential block e^{tau Abar*} S~(tau) e^{tau Abar}, where
+    S~(tau) = (S1 - P1+)[I + Wbar(tau)(S1 - P1+)]^{-1} is the sliding
+    terminal condition, the coupling block -A+2^{-*} A+12* times it and a
+    zero second block column.  The closed loop x1dot = A1_hat(t) x1, x2 =
+    A2_hat(t) x1 has the fundamental solution U and the transition maps of
+    Bender and Laub (IEEE TAC 32(8), 1987).  For a standard plant P1 = P and
+    Abar = A+.  Unchecked; ``structured_delta`` checks the convergence
+    condition, and evaluators raise ``SingularBracketError`` where the
+    bracket is singular."""
 
     gare: GareSolution
     S1: np.ndarray
@@ -121,20 +128,30 @@ class StructuredDelta:
     def K_sup(self):
         """max(||S1 - P1+||, ||S~(inf)||)."""
         d = self.S1 - self.gare.P1
-        s_inf = _right_divide(d, np.eye(d.shape[0]) + self.gram_bar.W @ d,
-                              self.tol, tau=np.inf)
+        s_inf = self._slide(np.zeros_like(d), np.inf)[1]   # e^{inf Abar} = 0
         return max(np.linalg.norm(d, 2), np.linalg.norm(s_inf, 2))
+
+    def _slide(self, e, tau):
+        """Wbar(tau) and S~(tau) from e = e^{tau Abar}, for one span or a
+        stack of them; the bracket guard covers every span and names the
+        first singular one."""
+        d = self.S1 - self.gare.P1
+        w = self.gram_bar._of(e)
+        bracket = np.eye(d.shape[0]) + w @ d
+        bad = _is_singular(bracket, self.tol)
+        if np.any(bad):
+            raise SingularBracketError(float(np.ravel(tau)[np.argmax(bad)]))
+        s_tau = np.linalg.solve(np.swapaxes(bracket, -1, -2), d.T)
+        return w, np.swapaxes(s_tau, -1, -2)
 
     def at(self, tau):
         """The sliding terminal condition S~(tau)."""
-        d = self.S1 - self.gare.P1
-        bracket = np.eye(d.shape[0]) + self.gram_bar.at(tau) @ d
-        return _right_divide(d, bracket, self.tol, tau=tau)
+        return self._slide(expm(tau * self.gare.A_bar), tau)[1]
 
     def delta1(self, t, t1):
         tau = t1 - t
         e = expm(tau * self.gare.A_bar)
-        return e.T @ self.at(tau) @ e
+        return e.T @ self._slide(e, tau)[1] @ e
 
     def coupling(self):
         """Factor L with P_delta;21 = L @ P_delta;1."""
@@ -151,37 +168,47 @@ class StructuredDelta:
         out[d:, :d] = self.coupling() @ d1
         return out
 
-
-def _is_singular(m, tol):
-    """smallest singular value <= rank cut x max(1, ||m||_2); an empty
-    matrix is not singular."""
-    return bool(m.size) and smallest_singular_value(m) <= tol.rank_cut(
-        m.shape) * max(1.0, np.linalg.norm(m, 2))
-
-
-def _right_divide(x, bracket, tol, tau):
-    """x @ bracket^{-1} with a singularity guard."""
-    if _is_singular(bracket, tol):
-        raise SingularBracketError(tau)
-    return np.linalg.solve(bracket.T, x.T).T
-
-
-@dataclass(frozen=True)
-class DecoupledClosedLoop:
-    """Strangeness-free closed loop: x1dot = A1hat(t) x1, x2 = A2hat(t) x1."""
-
-    gare: GareSolution
-    delta: StructuredDelta
-
     def A1_hat(self, t, t1):
         g = self.gare
-        return g.A_bar - g.B_bar @ g.B_bar.T @ self.delta.delta1(t, t1)
+        return g.A_bar - g.B_bar @ g.B_bar.T @ self.delta1(t, t1)
 
     def A2_hat(self, t, t1):
         g = self.gare
-        base = -np.linalg.solve(g.A_p2, g.A_p21)
-        corr = np.linalg.solve(g.A_p2, g.partition.B2)
-        return base + corr @ (g.B_bar.T @ self.delta.delta1(t, t1))
+        return np.linalg.solve(g.A_p2, g.partition.B2 @ g.B_bar.T
+                               @ self.delta1(t, t1) - g.A_p21)
+
+    def U(self, t, t1):
+        """U(t) = e^{-tau Abar} (I + Wbar(tau)(S1 - P1+)), the fundamental
+        solution of x1dot = A1_hat(t) x1 with U(t1) = I: so it is the
+        forward map from t1."""
+        return self.forward(t, t1, t1)
+
+    def forward(self, t, s, t1):
+        """U(t) U(s)^{-1}, which propagates states from time s to t."""
+        a = self.gare.A_bar
+        e_ts, e_t, e_s = (expm(span * a) for span in (t - s, t1 - t, t1 - s))
+        return (e_ts - self.gram_bar._of(e_ts) @ e_t.T
+                @ self._slide(e_s, t1 - s)[1] @ e_s)
+
+    def backward(self, t, s, t1):
+        """U(t)^{-*} U(s)*, which propagates adjoint states from s to t."""
+        a = self.gare.A_bar
+        # exponentiate Abar* itself: transposing e^{(s - t) Abar} changes
+        # the last digits of its large entries
+        e_st = expm((s - t) * a.T)
+        e_t, e_s = expm((t1 - t) * a), expm((t1 - s) * a)
+        return (e_st - e_t.T @ self._slide(e_t, t1 - t)[1] @ e_s
+                @ self.gram_bar._of(e_st.T))
+
+
+def _is_singular(m, tol):
+    """smallest singular value <= rank cut x max(1, ||.||_2), for m or for
+    each matrix of a stack m; an empty matrix is not singular."""
+    if not m.size:
+        return False
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., -1] <= tol.rank_cut(m.shape[-2:]) * np.maximum(1.0,
+                                                                  sv[..., 0])
 
 
 def _enumerate_fast_candidates(a22, b2, c2, tol):
@@ -487,8 +514,3 @@ def structured_delta(gare, s1, tol=DEFAULT_TOL):
             "I + Wbar (S1 - P1+) is singular; the generalized Riccati flow "
             "does not converge for this terminal weight")
     return StructuredDelta(gare=gare, S1=s1, gram_bar=gram_bar, tol=tol)
-
-
-def decoupled_closed_loop(gare, delta):
-    """Decoupled (strangeness-free) closed-loop evaluators."""
-    return DecoupledClosedLoop(gare=gare, delta=delta)

@@ -157,46 +157,40 @@ def steady_state(plant, are, y_c, tol=DEFAULT_TOL):
                        kkt_residual=max(resids), d=are.partition.d)
 
 
-def _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1):
-    """Closed-form feedforward parts (w_h, w_p) at time t.
+def feedforward(delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
+    """Feedforward w = w_h + w_p of a standard plant (d = n) by the closed
+    forms of ``delta`` at every node at once, cross-checked against the
+    backward (P, w) sweep of ``optimal_trajectory`` on the same grid.  With
+    e = e^{tau A+}, tau = t1 - t, and W, S~ at tau (W_inf = Wbar):
 
-    w_h carries the terminal target y_e, w_p the running target y_c.  The
-    w_p expression is the variation-of-constants integral of the adjoint
-    transition map evaluated in closed form.
-    """
-    ap = are.A_plus
-    n = ap.shape[0]
-    tau = t1 - t
-    e = expm(tau * ap)
-    et = e.T
-    stau = st.at(tau)
-    wtau = gram.at(tau)
+        w_h = -e* (I - S~ W) F* y_e,
+        w_p = [A+^{-*} (I - e*) - e* S~ (A+^{-1} (I - e) W_inf
+               - e W_inf A+^{-*} (I - e*))] C* y_c,
 
-    w_h = -et @ (np.eye(n) - stau @ wtau) @ (plant.F.T @ y_e)
-
-    cy = plant.C.T @ y_c
-    ident = np.eye(n)
-    apinvT_term = np.linalg.solve(ap.T, (ident - et) @ cy)
-    inner = (np.linalg.solve(ap, (ident - e) @ gram.W)
-             - e @ gram.W @ np.linalg.solve(ap.T, ident - et))
-    w_p = apinvT_term - et @ stau @ inner @ cy
-    return w_h, w_p
-
-
-def feedforward(plant, are, gram, st, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
-    """Feedforward trajectory by the closed forms, cross-checked against the
-    backward (P, w) sweep of ``optimal_trajectory`` on the same grid."""
+    w_p being the variation-of-constants integral of the adjoint transition
+    map.  e at the nodes is the powers of one step's map."""
+    g = delta.gare
+    plant = g.plant
+    n = plant.n
+    if g.partition.d != n:
+        raise ValueError("feedforward's closed forms need a standard plant "
+                         f"(d = n), not d = {g.partition.d} < n = {n}")
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")
+    w_int = optimal_trajectory(plant, np.zeros(n), y_c, y_e, t1, grid, tol).w
     ts = np.linspace(0.0, t1, grid)
-    w_h = np.empty((grid, plant.n))
-    w_p = np.empty((grid, plant.n))
-    for i, t in enumerate(ts):
-        w_h[i], w_p[i] = _w_closed_form(plant, are, gram, st, y_c, y_e, t, t1)
+    ap, w_inf, ident = g.A_plus, delta.gram_bar.W, np.eye(n)
+    # e^{tau A+} at the nodes, in descending tau
+    e = np.concatenate([flow_maps(expm((ts[1] - ts[0]) * ap), grid - 1)[::-1],
+                        ident[None]])
+    et = e.transpose(0, 2, 1)
+    w_tau, s_tau = delta._slide(e, t1 - ts)
+    es = et @ s_tau
+    w_h = (es @ w_tau - et) @ (plant.F.T @ y_e)
+    back = np.linalg.solve(ap.T, ident - et)
+    inner = np.linalg.solve(ap, (ident - e) @ w_inf) - e @ w_inf @ back
+    w_p = (back - es @ inner) @ (plant.C.T @ y_c)
     w = w_h + w_p
-
-    w_int = optimal_trajectory(plant, np.zeros(plant.n), y_c, y_e, t1, grid,
-                               tol).w
     return FeedforwardTrajectory(
         grid=ts, w=w, w_h=w_h, w_p=w_p, w_integrated=w_int,
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))

@@ -140,6 +140,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
                                                   gram_abc):
     s = abc_fperp.terminal_weight
     a, b = abc_fperp.A, abc_fperp.B
+    delta = lt.StructuredDelta(are_abc, s, gram_abc)
 
     dre = lt.solve_dre(abc_fperp, T1, 2001)
     field = riccati_field(abc_fperp)
@@ -153,8 +154,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
 
     ts, us = integrate(u_field, np.eye(2), T1, 0.0, grid=21)
     err_u = max(
-        np.abs(lt.fundamental_solution_U(s, are_abc, gram_abc, t, T1)
-               - u).max() / (1.0 + np.abs(u).max())
+        np.abs(delta.U(t, T1) - u).max() / (1.0 + np.abs(u).max())
         for t, u in zip(ts, us))
     assert err_u < 1e-6
 
@@ -164,7 +164,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
         return ys[-1]
 
     prop = np.column_stack([x_prop(e) for e in np.eye(2)])
-    fwd = lt.transition_forward(8.0, 2.0, T1, s, are_abc, gram_abc)
+    fwd = delta.forward(8.0, 2.0, T1)
     err_fwd = np.abs(prop - fwd).max() / (1.0 + np.abs(fwd).max())
     assert err_fwd < 1e-6
 
@@ -176,23 +176,20 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     for e in np.eye(2):
         _, ys = integrate(y_field, e, 8.0, 2.0, grid=13)
         cols.append(ys[-1])
-    bwd = lt.transition_backward(2.0, 8.0, T1, s, are_abc, gram_abc)
+    bwd = delta.backward(2.0, 8.0, T1)
     err_bwd = np.abs(np.column_stack(cols) - bwd).max() / (1.0 + np.abs(bwd).max())
     assert err_bwd < 1e-6
 
     # feedforward closed forms against backward integration
-    st = lt.sliding_terminal(s, are_abc, gram_abc)
     err_ff = max(
-        lt.feedforward(abc_fperp, are_abc, gram_abc, st, [y_c], [y_e],
-                       T1).max_discrepancy
+        lt.feedforward(delta, [y_c], [y_e], T1).max_discrepancy
         for y_c, y_e in ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]))
     assert err_ff < 1e-6
 
     # delta formula against the integrated Riccati flow
     coarse = lt.solve_dre(abc_fperp, T1)
     err_delta = max(
-        np.abs(are_abc.P_plus
-               + lt.delta_formula(s, are_abc, gram_abc, t, T1) - p).max()
+        np.abs(are_abc.P_plus + delta.delta1(t, T1) - p).max()
         for t, p in zip(coarse.grid, coarse.P))
     assert err_delta < 1e-6
     _ok("criterion 6: explicit formulas vs integration",

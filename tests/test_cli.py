@@ -5,7 +5,8 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
-from lqturnpike.cli import load_scenario, main, normalized_json, ScenarioError
+from lqturnpike.cli import (build_parser, load_scenario, main, normalized_json,
+                            ScenarioError)
 
 from conftest import integrate, riccati_field
 
@@ -234,6 +235,17 @@ class TestExitCodes:
         path = _write(tmp_path, "ode.json", data)
         assert main([args[0], str(path), *args[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_shared_parser_usable(self, tmp_path,
+                                                         capsys):
+        path = _write(tmp_path, "ode.json", ODE_SCENARIO)
+        assert main(["oracle", str(path), "--steps", "10"]) == 1
+        assert main(["dre", str(path), "--grid", "x"]) == 1   # argparse's own
+        assert main(["oracle", str(path), "--steps", "60"]) == 0
+        assert main(["dre", str(path)]) == 0
 
     def test_assumption_violation_is_two(self, tmp_path, capsys):
         data = dict(DAE_SCENARIO)

@@ -10,6 +10,8 @@ import pytest
 import lqturnpike as lt
 from lqturnpike.dae_riccati import gdre_fd_residual
 
+from conftest import integrate
+
 E = np.zeros((4, 4))
 E[:2, :2] = np.eye(2)
 A = np.array([
@@ -64,6 +66,21 @@ def test_gdre_residual_and_delta_equivalence(plant, gare):
         assert np.abs(p_delta[:, 2:]).max() < 1e-10
         assert np.abs(p_delta[2:, :2]
                       - delta.coupling() @ p_delta[:2, :2]).max() < 1e-9
+
+
+def test_closed_loop_closed_forms(gare):
+    # U and the transition maps of the 2x2 reduced closed loop against
+    # x1dot = A1_hat(t) x1 integrated from U(t1) = I
+    delta = lt.structured_delta(gare, gare.partition.S1)
+    ts, us = integrate(lambda t, u: delta.A1_hat(t, T1) @ u, np.eye(2), T1,
+                       0.0, grid=17)
+    err = max(np.abs(delta.U(t, T1) - u).max() / (1.0 + np.abs(u).max())
+              for t, u in zip(ts, us))
+    assert err < 1e-6
+    fwd = delta.forward(6.0, 2.0, T1)
+    assert np.abs(fwd @ delta.U(2.0, T1) - delta.U(6.0, T1)).max() < 1e-8
+    bwd = delta.backward(2.0, 6.0, T1)
+    assert np.abs(bwd - fwd.T).max() < 1e-10 * (1.0 + np.abs(bwd).max())
 
 
 def test_trajectory_against_oracle(plant, gare):

@@ -6,7 +6,7 @@ from lqturnpike.dae_riccati import (_enumerate_fast_candidates, gare_residual,
                                     gdre_fd_residual)
 from lqturnpike.errors import AssumptionViolation
 
-from conftest import SQRT2
+from conftest import SQRT2, integrate
 
 TAU_GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
@@ -248,25 +248,44 @@ class TestStructuredDelta:
 class TestDecoupledClosedLoop:
     def test_equilibrium(self, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.P1)
-        dcl = lt.decoupled_closed_loop(gare_ref, delta)
         for t in (0.0, 4.0, 10.0):
-            assert np.abs(dcl.A1_hat(t, 10.0) - gare_ref.A_bar).max() < 1e-12
+            assert np.abs(delta.A1_hat(t, 10.0) - gare_ref.A_bar).max() < 1e-12
             expect = -np.linalg.solve(gare_ref.A_p2, gare_ref.A_p21)
-            assert np.abs(dcl.A2_hat(t, 10.0) - expect).max() < 1e-12
+            assert np.abs(delta.A2_hat(t, 10.0) - expect).max() < 1e-12
 
     def test_reference_formula(self, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        dcl = lt.decoupled_closed_loop(gare_ref, delta)
         for t in (0.0, 5.0, 10.0):
             expect = -(1.0 + SQRT2) - delta.delta1(t, 10.0)[0, 0]
-            assert dcl.A2_hat(t, 10.0)[0, 0] == pytest.approx(expect, abs=1e-12)
+            assert delta.A2_hat(t, 10.0)[0, 0] == pytest.approx(expect, abs=1e-12)
 
     def test_simulated_decoupling(self, ref_dae, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        dcl = lt.decoupled_closed_loop(gare_ref, delta)
         traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
                                          10.0)
         err = max(
-            np.abs(traj.x2[i] - dcl.A2_hat(t, 10.0) @ traj.x1[i]).max()
+            np.abs(traj.x2[i] - delta.A2_hat(t, 10.0) @ traj.x1[i]).max()
             for i, t in enumerate(traj.grid))
         assert err < 1e-7
+
+    def test_fundamental_solution_against_integration(self, gare_ref):
+        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
+        ts, us = integrate(lambda t, u: delta.A1_hat(t, 10.0) @ u, np.eye(1),
+                           10.0, 0.0, grid=21)
+        err = max(
+            np.abs(delta.U(t, 10.0) - u).max() / (1.0 + np.abs(u).max())
+            for t, u in zip(ts, us))
+        assert err < 1e-6
+
+    def test_transition_composition(self, gare_ref):
+        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            r, mid, t = np.sort(rng.uniform(0.0, 10.0, 3))
+            f_tr = delta.forward(t, r, 10.0)
+            scale = 1.0 + np.abs(f_tr).max()
+            prod = delta.forward(t, mid, 10.0) @ delta.forward(mid, r, 10.0)
+            assert np.abs(prod - f_tr).max() / scale < 1e-8
+            # and it is U(t) U(r)^{-1}
+            assert np.abs(f_tr @ delta.U(r, 10.0)
+                          - delta.U(t, 10.0)).max() / scale < 1e-8

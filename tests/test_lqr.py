@@ -100,22 +100,22 @@ def _assert_matches_direct_kkt(plant, are, y_c):
 
 class TestFeedforward:
     def test_zero_targets(self, abc_fperp, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
-        ff = lt.feedforward(abc_fperp, are_abc, gram_abc, st, [0.0], [0.0], 10.0)
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        ff = lt.feedforward(st, [0.0], [0.0], 10.0)
         assert np.abs(ff.w).max() < 1e-12
 
     def test_terminal_condition(self, abc_fperp, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
-        ff = lt.feedforward(abc_fperp, are_abc, gram_abc, st, [0.0], [1.0], 10.0)
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        ff = lt.feedforward(st, [0.0], [1.0], 10.0)
         assert np.abs(ff.w[-1] - [-SQRT3, 0.0]).max() < 1e-12
 
     def test_closed_form_matches_integration(self, abc_fperp, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
-        for y_c, y_e in ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]):
-            ff = lt.feedforward(abc_fperp, are_abc, gram_abc, st,
-                                [y_c], [y_e], 10.0)
-            assert ff.max_discrepancy < 1e-6
-            assert np.abs(ff.w - (ff.w_h + ff.w_p)).max() < 1e-14
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        for grid in (101, 2001):
+            for y_c, y_e in ([0.0, 1.0], [1.0, 1.0], [1.0, 0.0]):
+                ff = lt.feedforward(st, [y_c], [y_e], 10.0, grid)
+                assert ff.max_discrepancy < 1e-6
+                assert np.abs(ff.w - (ff.w_h + ff.w_p)).max() < 1e-14
 
     def test_closed_form_multi_output(self):
         # exercises the closed forms with k = 2, l = 2, m = 2 shapes
@@ -126,9 +126,14 @@ class TestFeedforward:
                             F=rng.standard_normal((2, 3)))
         are = lt.stabilizing_solution(plant)
         gram = lt.gramians(are, plant.B)
-        st = lt.sliding_terminal(plant.terminal_weight, are, gram)
-        ff = lt.feedforward(plant, are, gram, st, [0.4, -0.2], [1.0, 0.3], 6.0)
+        st = lt.StructuredDelta(are, plant.terminal_weight, gram)
+        ff = lt.feedforward(st, [0.4, -0.2], [1.0, 0.3], 6.0)
         assert ff.max_discrepancy < 1e-6
+
+    def test_descriptor_delta_refused(self, gare_ref):
+        delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
+        with pytest.raises(ValueError, match=r"need a standard plant \(d = n\)"):
+            lt.feedforward(delta, [0.0], [1.0], 10.0)
 
 
 class TestOptimalTrajectory:

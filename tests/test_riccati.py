@@ -96,12 +96,12 @@ class TestGramians:
 
 class TestSlidingTerminal:
     def test_at_zero(self, abc_fperp, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         assert np.abs(st.at(0.0) - (abc_fperp.terminal_weight
                                     - are_abc.P_plus)).max() < 1e-14
 
     def test_equilibrium_zero(self, are_abc, gram_abc):
-        st = lt.sliding_terminal(are_abc.P_plus, are_abc, gram_abc)
+        st = lt.StructuredDelta(are_abc, are_abc.P_plus, gram_abc)
         for tau in TAU_GRID:
             assert np.abs(st.at(tau)).max() == 0.0
 
@@ -109,7 +109,7 @@ class TestSlidingTerminal:
         plant = lt.LtiPlant(A=[[1.0]], B=[[1.0]], C=[[1.0]], F=[[0.0]])
         are = lt.stabilizing_solution(plant)
         gram = lt.gramians(are, plant.B)
-        st = lt.sliding_terminal(np.zeros((1, 1)), are, gram)
+        st = lt.StructuredDelta(are, np.zeros((1, 1)), gram)
         # S - P+ = -(1 + sqrt 2); at tau -> infinity the value is -2 sqrt 2
         for tau in (0.0, 0.5, 2.0, 8.0):
             w = (1.0 - np.exp(-2.0 * SQRT2 * tau)) / (2.0 * SQRT2)
@@ -118,20 +118,20 @@ class TestSlidingTerminal:
 
     def test_loewner_decreasing(self, abc_fperp, are_abc, gram_abc):
         tol = lt.Tolerances()
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         vals = [st.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
             assert lt.min_eig_sym(older - newer) >= -tol.psd_slack
 
     def test_k_sup(self, abc_fperp, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fperp.terminal_weight, are_abc, gram_abc)
+        st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         d = abc_fperp.terminal_weight - are_abc.P_plus
         s_inf = d @ np.linalg.inv(np.eye(2) + gram_abc.W @ d)
         expect = max(np.linalg.norm(d, 2), np.linalg.norm(s_inf, 2))
         assert st.K_sup == pytest.approx(expect, rel=1e-12)
 
     def test_singular_bracket_raises(self, abc_fc, are_abc, gram_abc):
-        st = lt.sliding_terminal(abc_fc.terminal_weight, are_abc, gram_abc)
+        st = lt.StructuredDelta(are_abc, abc_fc.terminal_weight, gram_abc)
         with pytest.raises(SingularBracketError):
             st.K_sup  # the infinite-horizon bracket is exactly singular
 
@@ -149,33 +149,33 @@ class TestConvergenceCondition:
 class TestDeltaFormula:
     def test_terminal_value(self, abc_fperp, are_abc, gram_abc):
         s = abc_fperp.terminal_weight
-        got = lt.delta_formula(s, are_abc, gram_abc, 10.0, 10.0)
+        got = lt.StructuredDelta(are_abc, s, gram_abc).delta1(10.0, 10.0)
         assert np.abs(got - (s - are_abc.P_plus)).max() < 1e-12
 
     def test_equilibrium_zero(self, are_abc, gram_abc):
-        got = lt.delta_formula(are_abc.P_plus, are_abc, gram_abc, 3.0, 10.0)
+        delta = lt.StructuredDelta(are_abc, are_abc.P_plus, gram_abc)
+        got = delta.delta1(3.0, 10.0)
         assert np.abs(got).max() == 0.0
 
     def test_matches_integrated_dre(self, abc_fperp, are_abc, gram_abc):
         s = abc_fperp.terminal_weight
         dre = lt.solve_dre(abc_fperp, 10.0)
+        delta = lt.StructuredDelta(are_abc, s, gram_abc)
         err = max(
-            np.abs(are_abc.P_plus
-                   + lt.delta_formula(s, are_abc, gram_abc, t, 10.0)
-                   - p).max()
+            np.abs(are_abc.P_plus + delta.delta1(t, 10.0) - p).max()
             for t, p in zip(dre.grid, dre.P))
         assert err < 1e-6
 
 
 class TestFundamentalSolution:
     def test_identity_at_terminal(self, abc_fperp, are_abc, gram_abc):
-        got = lt.fundamental_solution_U(abc_fperp.terminal_weight, are_abc,
-                                        gram_abc, 10.0, 10.0)
+        got = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight,
+                                 gram_abc).U(10.0, 10.0)
         assert np.abs(got - np.eye(2)).max() < 1e-14
 
     def test_equilibrium_reduces_to_exponential(self, are_abc, gram_abc):
-        got = lt.fundamental_solution_U(are_abc.P_plus, are_abc, gram_abc,
-                                        4.0, 10.0)
+        delta = lt.StructuredDelta(are_abc, are_abc.P_plus, gram_abc)
+        got = delta.U(4.0, 10.0)
         assert np.abs(got - lt.expm(-6.0 * are_abc.A_plus)).max() < 1e-12
 
     def test_against_integration(self, abc_fperp, are_abc, gram_abc):
@@ -187,54 +187,52 @@ class TestFundamentalSolution:
             return (abc_fperp.A - abc_fperp.B @ abc_fperp.B.T @ p) @ u
 
         ts, us = integrate(field, np.eye(2), 10.0, 0.0, grid=21)
+        delta = lt.StructuredDelta(are_abc, s, gram_abc)
         err = max(
-            np.abs(lt.fundamental_solution_U(s, are_abc, gram_abc, t, 10.0)
-                   - u).max() / (1.0 + np.abs(u).max())
+            np.abs(delta.U(t, 10.0) - u).max() / (1.0 + np.abs(u).max())
             for t, u in zip(ts, us))
         assert err < 1e-6
 
 
 class TestTransitionMaps:
     def test_identity_at_equal_times(self, abc_fperp, are_abc, gram_abc):
-        s = abc_fperp.terminal_weight
-        assert np.abs(lt.transition_forward(4.0, 4.0, 10.0, s, are_abc,
-                                            gram_abc) - np.eye(2)).max() < 1e-12
-        assert np.abs(lt.transition_backward(4.0, 4.0, 10.0, s, are_abc,
-                                             gram_abc) - np.eye(2)).max() < 1e-12
+        delta = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        assert np.abs(delta.forward(4.0, 4.0, 10.0) - np.eye(2)).max() < 1e-12
+        assert np.abs(delta.backward(4.0, 4.0, 10.0) - np.eye(2)).max() < 1e-12
 
     def test_composition(self, abc_fperp, are_abc, gram_abc):
-        s = abc_fperp.terminal_weight
+        delta = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         rng = np.random.default_rng(17)
         for _ in range(6):
             r, mid, t = np.sort(rng.uniform(0.0, 10.0, 3))
-            f_ts = lt.transition_forward(t, mid, 10.0, s, are_abc, gram_abc)
-            f_sr = lt.transition_forward(mid, r, 10.0, s, are_abc, gram_abc)
-            f_tr = lt.transition_forward(t, r, 10.0, s, are_abc, gram_abc)
+            f_ts = delta.forward(t, mid, 10.0)
+            f_sr = delta.forward(mid, r, 10.0)
+            f_tr = delta.forward(t, r, 10.0)
             err = np.abs(f_ts @ f_sr - f_tr).max() / (1.0 + np.abs(f_tr).max())
             assert err < 1e-8
 
     def test_adjoint_consistency(self, abc_fperp, are_abc, gram_abc):
-        s = abc_fperp.terminal_weight
-        fwd = lt.transition_forward(7.0, 3.0, 10.0, s, are_abc, gram_abc)
-        bwd = lt.transition_backward(3.0, 7.0, 10.0, s, are_abc, gram_abc)
+        delta = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        fwd = delta.forward(7.0, 3.0, 10.0)
+        bwd = delta.backward(3.0, 7.0, 10.0)
         assert np.abs(bwd - fwd.T).max() < 1e-10 * (1.0 + np.abs(bwd).max())
 
     def test_equilibrium_reductions(self, are_abc, gram_abc):
-        p = are_abc.P_plus
-        fwd = lt.transition_forward(5.0, 2.0, 10.0, p, are_abc, gram_abc)
+        delta = lt.StructuredDelta(are_abc, are_abc.P_plus, gram_abc)
+        fwd = delta.forward(5.0, 2.0, 10.0)
         assert np.abs(fwd - lt.expm(3.0 * are_abc.A_plus)).max() < 1e-12
-        bwd = lt.transition_backward(5.0, 2.0, 10.0, p, are_abc, gram_abc)
+        bwd = delta.backward(5.0, 2.0, 10.0)
         assert np.abs(bwd - lt.expm(-3.0 * are_abc.A_plus.T)).max() < 1e-12
 
     def test_reversed_order_is_inverse(self, abc_fperp, are_abc, gram_abc):
-        s = abc_fperp.terminal_weight
-        fwd = lt.transition_forward(6.0, 3.0, 10.0, s, are_abc, gram_abc)
-        rev = lt.transition_forward(3.0, 6.0, 10.0, s, are_abc, gram_abc)
+        delta = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
+        fwd = delta.forward(6.0, 3.0, 10.0)
+        rev = delta.forward(3.0, 6.0, 10.0)
         prod = fwd @ rev
         assert np.abs(prod - np.eye(2)).max() < 1e-9 * (1 + np.abs(fwd).max())
 
     def test_backward_against_integration(self, abc_fperp, are_abc, gram_abc):
-        s = abc_fperp.terminal_weight
+        delta = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         _, pin = _p_interp(abc_fperp, 10.0)
         a, b = abc_fperp.A, abc_fperp.B
 
@@ -249,5 +247,5 @@ class TestTransitionMaps:
             _, ys = integrate(field, e, 7.0, 3.0, grid=11)
             cols.append(ys[-1])
         prop = np.column_stack(cols)
-        bwd = lt.transition_backward(3.0, 7.0, 10.0, s, are_abc, gram_abc)
+        bwd = delta.backward(3.0, 7.0, 10.0)
         assert np.abs(prop - bwd).max() < 1e-6
