@@ -128,30 +128,28 @@ class StructuredDelta:
     def K_sup(self):
         """max(||S1 - P1+||, ||S~(inf)||)."""
         d = self.S1 - self.gare.P1
-        s_inf = self._slide(np.zeros_like(d), np.inf)[1]   # e^{inf Abar} = 0
+        s_inf = self._slide(self.gram_bar.W, np.inf)   # Wbar(inf) = Wbar
         return max(np.linalg.norm(d, 2), np.linalg.norm(s_inf, 2))
 
-    def _slide(self, e, tau):
-        """Wbar(tau) and S~(tau) from e = e^{tau Abar}, for one span or a
-        stack of them; the bracket guard covers every span and names the
-        first singular one."""
+    def _slide(self, w, tau):
+        """S~(tau) from w = Wbar(tau), for one span or a stack of them; the
+        bracket guard covers every span and names the first singular one."""
         d = self.S1 - self.gare.P1
-        w = self.gram_bar._of(e)
         bracket = np.eye(d.shape[0]) + w @ d
         bad = _is_singular(bracket, self.tol)
         if np.any(bad):
             raise SingularBracketError(float(np.ravel(tau)[np.argmax(bad)]))
         s_tau = np.linalg.solve(np.swapaxes(bracket, -1, -2), d.T)
-        return w, np.swapaxes(s_tau, -1, -2)
+        return np.swapaxes(s_tau, -1, -2)
 
     def at(self, tau):
         """The sliding terminal condition S~(tau)."""
-        return self._slide(expm(tau * self.gare.A_bar), tau)[1]
+        return self._slide(self.gram_bar.at(tau), tau)
 
     def delta1(self, t, t1):
         tau = t1 - t
         e = expm(tau * self.gare.A_bar)
-        return e.T @ self._slide(e, tau)[1] @ e
+        return e.T @ self._slide(self.gram_bar._of(e), tau) @ e
 
     def coupling(self):
         """Factor L with P_delta;21 = L @ P_delta;1."""
@@ -179,26 +177,29 @@ class StructuredDelta:
 
     def U(self, t, t1):
         """U(t) = e^{-tau Abar} (I + Wbar(tau)(S1 - P1+)), the fundamental
-        solution of x1dot = A1_hat(t) x1 with U(t1) = I: so it is the
-        forward map from t1."""
-        return self.forward(t, t1, t1)
+        solution of x1dot = A1_hat(t) x1 with U(t1) = I; only the bounded
+        Wbar(tau) enters it."""
+        tau = t1 - t
+        d = self.S1 - self.gare.P1
+        return expm(-tau * self.gare.A_bar) @ (np.eye(d.shape[0])
+                                               + self.gram_bar.at(tau) @ d)
 
     def forward(self, t, s, t1):
         """U(t) U(s)^{-1}, which propagates states from time s to t."""
-        a = self.gare.A_bar
+        a, gram = self.gare.A_bar, self.gram_bar
         e_ts, e_t, e_s = (expm(span * a) for span in (t - s, t1 - t, t1 - s))
-        return (e_ts - self.gram_bar._of(e_ts) @ e_t.T
-                @ self._slide(e_s, t1 - s)[1] @ e_s)
+        return (e_ts - gram._of(e_ts) @ e_t.T
+                @ self._slide(gram._of(e_s), t1 - s) @ e_s)
 
     def backward(self, t, s, t1):
         """U(t)^{-*} U(s)*, which propagates adjoint states from s to t."""
-        a = self.gare.A_bar
+        a, gram = self.gare.A_bar, self.gram_bar
         # exponentiate Abar* itself: transposing e^{(s - t) Abar} changes
         # the last digits of its large entries
         e_st = expm((s - t) * a.T)
         e_t, e_s = expm((t1 - t) * a), expm((t1 - s) * a)
-        return (e_st - e_t.T @ self._slide(e_t, t1 - t)[1] @ e_s
-                @ self.gram_bar._of(e_st.T))
+        return (e_st - e_t.T @ self._slide(gram._of(e_t), t1 - t) @ e_s
+                @ gram._of(e_st.T))
 
 
 def _is_singular(m, tol):
@@ -364,13 +365,13 @@ def _require_structure(plant, tol):
 
 def _reduce(plant, tol):
     """The one entry of both plant kinds: an ``LtiPlant`` is taken as its
-    d = n descriptor plant, whose structural checks hold trivially; a
-    descriptor plant must pass them.  Returns (descriptor plant, partition,
+    d = n descriptor plant.  The structural checks hold trivially at d = n
+    and run only for d < n.  Returns (descriptor plant, partition,
     P2, reduced coefficients); the fast block and the reduced weight refuse
     by name."""
     if isinstance(plant, LtiPlant):
         plant = wrap_standard(plant)
-    else:
+    elif plant.d < plant.n:
         _require_structure(plant, tol)
     part = plant.partition()
     p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)

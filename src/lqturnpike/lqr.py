@@ -184,7 +184,8 @@ def feedforward(delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     e = np.concatenate([flow_maps(expm((ts[1] - ts[0]) * ap), grid - 1)[::-1],
                         ident[None]])
     et = e.transpose(0, 2, 1)
-    w_tau, s_tau = delta._slide(e, t1 - ts)
+    w_tau = delta.gram_bar._of(e)
+    s_tau = delta._slide(w_tau, t1 - ts)
     es = et @ s_tau
     w_h = (es @ w_tau - et) @ (plant.F.T @ y_e)
     back = np.linalg.solve(ap.T, ident - et)

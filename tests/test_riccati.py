@@ -193,6 +193,23 @@ class TestFundamentalSolution:
             for t, u in zip(ts, us))
         assert err < 1e-6
 
+    def test_against_integration_separated_spectrum(self):
+        # closed-loop eigenvalues from -7.9 to -0.09, so U(0) spreads its
+        # columns by about e^78 at t1 = 10
+        rng = np.random.default_rng(0)
+        plant = lt.LtiPlant(A=rng.standard_normal((8, 8)) / np.sqrt(8),
+                            B=rng.standard_normal((8, 2)),
+                            C=rng.standard_normal((2, 8)),
+                            F=rng.standard_normal((1, 8)))
+        are = lt.stabilizing_solution(plant)
+        delta = lt.structured_delta(are, plant.terminal_weight)
+        ts, us = integrate(lambda t, u: delta.A1_hat(t, 10.0) @ u, np.eye(8),
+                           10.0, 0.0, grid=5)
+        err = max(
+            np.abs(delta.U(t, 10.0) - u).max() / (1.0 + np.abs(u).max())
+            for t, u in zip(ts, us))
+        assert err < 1e-6
+
 
 class TestTransitionMaps:
     def test_identity_at_equal_times(self, abc_fperp, are_abc, gram_abc):
