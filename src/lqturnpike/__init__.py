@@ -3,8 +3,8 @@ descriptor (DAE) plants: Riccati solvers, the closed forms of
 ``StructuredDelta`` (P(t) - P+, the fundamental solution and the transition
 maps), turnpike diagnostics, and a direct-transcription verification oracle.
 
-A standard plant is solved as its d = n descriptor plant, so one set of
-solvers serves both kinds.  The former names ``stabilizing_solution``,
+A standard plant (``LtiPlant``) is the descriptor plant with E = I, so one
+set of solvers serves both kinds.  The former names ``stabilizing_solution``,
 ``solve_dre``, ``dae_optimal_trajectory`` and ``dae_steady_state`` stay
 importable, outside ``__all__``.
 """
@@ -17,7 +17,7 @@ from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      StructuralReport, check_F_compatible,
                      check_finite_dynamics_stable, check_impulse_controllable,
                      check_impulse_free, check_pencil_regular,
-                     structural_report, wrap_standard)
+                     structural_report)
 from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
                           StructuredDelta, check_convergence_condition,
                           gramians, reduced_coefficients, solve_fast_block,
@@ -46,5 +46,5 @@ __all__ = [
     "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",
     "solve_lyapunov", "spectral_abscissa", "steady_state",
     "structural_report", "structured_delta", "transcribe_and_solve",
-    "turnpike_report", "wrap_standard",
+    "turnpike_report",
 ]

@@ -213,8 +213,7 @@ def _structural_lines(rep):
 
 
 def cmd_check(sc, args):
-    plant = sc.plant if sc.kind == "dae" else plants.wrap_standard(sc.plant)
-    rep = plants.structural_report(plant, sc.tol,
+    rep = plants.structural_report(sc.plant, sc.tol,
                                    seed=plants._REGULARITY_SEED + sc.seed)
     _print_report(_structural_lines(rep))
     return 0

@@ -18,8 +18,8 @@ from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import sweep
 from .linalg import (DEFAULT_TOL, as_matrix, expm, smallest_singular_value,
                      solve_are_q, solve_lyapunov, spectral_abscissa, sym)
-from .plants import (LtiPlant, check_F_compatible, check_impulse_controllable,
-                     check_pencil_regular, wrap_standard)
+from .plants import (check_F_compatible, check_impulse_controllable,
+                     check_pencil_regular)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class GareSolution:
     residual: float
     reduced: ReducedCoefficients
     partition: object
-    plant: object       # the descriptor plant; E = I for a standard one
+    plant: object       # the plant solved, as the caller passed it
 
     @property
     def lam(self):
@@ -212,7 +212,7 @@ def _is_singular(m, tol):
                                                                   sv[..., 0])
 
 
-def _enumerate_fast_candidates(a22, b2, c2, tol):
+def _enumerate_fast_candidates(a22, b2, c2):
     """Symmetric solutions of the fast-block equation for blocks of size
     <= 2, via sign choices among the Hamiltonian eigenvalue pairs."""
     n2 = a22.shape[0]
@@ -290,7 +290,7 @@ def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
             "fast-block",
             "no stabilizing fast-block solution and the block is too large "
             "for branch enumeration")
-    for cand in _enumerate_fast_candidates(a22, b2, c2, tol):
+    for cand in _enumerate_fast_candidates(a22, b2, c2):
         try:
             _require_k2(a22, b2, cand, tol)
             return cand
@@ -364,33 +364,39 @@ def _require_structure(plant, tol):
 
 
 def _reduce(plant, tol):
-    """The one entry of both plant kinds: an ``LtiPlant`` is taken as its
-    d = n descriptor plant.  The structural checks hold trivially at d = n
-    and run only for d < n.  Returns (descriptor plant, partition,
-    P2, reduced coefficients); the fast block and the reduced weight refuse
-    by name."""
-    if isinstance(plant, LtiPlant):
-        plant = wrap_standard(plant)
-    elif plant.d < plant.n:
+    """The one entry of both plant kinds, a standard plant being the
+    descriptor plant with E = I.  The structural checks hold trivially at
+    d = n and run only for d < n.  Returns (partition, P2, reduced
+    coefficients); the fast block and the reduced weight refuse by name."""
+    if plant.d < plant.n:
         _require_structure(plant, tol)
     part = plant.partition()
     p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
-    return plant, part, p2, reduced_coefficients(part, p2, tol)
+    return part, p2, reduced_coefficients(part, p2, tol)
+
+
+def _full_P(red, p1, p2):
+    """[[P1, 0], [P21, P2]] with the slaved coupling block
+    P21 = -K2^{-1}((A12* - P2* B2 B1*) P1 + P2* A21 + C2* C1), for one P1 or
+    a stack of them."""
+    d = p1.shape[-1]
+    n = d + p2.shape[0]
+    p = np.zeros(p1.shape[:-2] + (n, n))
+    p[..., :d, :d] = p1
+    p[..., d:, :d] = -np.linalg.solve(red.K2, red.M @ p1 + red.N)
+    p[..., d:, d:] = p2
+    return p
 
 
 def solve_gare(plant, tol=DEFAULT_TOL):
     """Stabilizing solution of the algebraic Riccati equation of either
     plant kind via the block reduction, with its closed loop verified."""
-    plant, part, p2, red = _reduce(plant, tol)
-    d, n = part.d, plant.n
+    part, p2, red = _reduce(plant, tol)
+    d = part.d
 
     p1 = solve_are_q(red.A_t, red.R_t, red.Q_t, tol)
-    p21 = _coupling_block(red, p1)
-
-    p_plus = np.zeros((n, n))
-    p_plus[:d, :d] = p1
-    p_plus[d:, :d] = p21
-    p_plus[d:, d:] = p2
+    p_plus = _full_P(red, p1, p2)
+    p21 = p_plus[d:, :d]
 
     resid = gare_residual(plant, p_plus)
     if resid > tol.residual * (1.0 + np.linalg.norm(p_plus, "fro")):
@@ -432,12 +438,6 @@ def gare_residual(plant, p):
     return float(np.linalg.norm(r, "fro"))
 
 
-def _coupling_block(red, p1):
-    """P21 = -K2^{-1}((A12* - P2* B2 B1*) P1 + P2* A21 + C2* C1), for one P1
-    or a stack of them."""
-    return -np.linalg.solve(red.K2, red.M @ p1 + red.N)
-
-
 def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
     """Backward Riccati solve of either plant kind: sweep the reduced
     equation in the differential block from P1(t1) = S1 over its exact flow
@@ -445,16 +445,12 @@ def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
     block algebraically and keep the fast block constant.  No algebraic
     Riccati equation is solved, so plants whose slow dynamics cannot be
     stabilized get their solution too."""
-    plant, part, p2, red = _reduce(plant, tol)
-    d, n = part.d, plant.n
-    zero = np.zeros(d)
+    part, p2, red = _reduce(plant, tol)
+    zero = np.zeros(part.d)
     ts, p1s, _, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,
                              zero, t1, grid, tol=tol)
-    ps = np.zeros((grid, n, n))
-    ps[:, :d, :d] = p1s
-    ps[:, d:, :d] = _coupling_block(red, p1s)
-    ps[:, d:, d:] = p2
-    return GdreSolution(t1=float(t1), grid=ts, P=ps, d=d)
+    return GdreSolution(t1=float(t1), grid=ts, P=_full_P(red, p1s, p2),
+                        d=part.d)
 
 
 def gdre_fd_residual(dre, plant):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae_riccati import _coupling_block, _reduce
+from .dae_riccati import _full_P, _reduce
 from .errors import NumericalError
 from .integrate import flow_maps, sweep
 from .linalg import DEFAULT_TOL, as_vector, expm
@@ -221,8 +221,8 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     y_e = as_vector(y_e, "y_e")
     if x0.size != plant.n:
         raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
-    plant, part, p2, red = _reduce(plant, tol)
-    n, d = plant.n, part.d
+    part, p2, red = _reduce(plant, tol)
+    d = part.d
 
     k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
     z = part.B2.T @ k2_cy
@@ -232,10 +232,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
                                   -red.G @ z, c_t, -part.F1.T @ y_e, t1, grid,
                                   x0[:d], tol)
 
-    ps = np.zeros((grid, n, n))
-    ps[:, :d, :d] = p1s
-    ps[:, d:, :d] = _coupling_block(red, p1s)
-    ps[:, d:, d:] = p2
+    ps = _full_P(red, p1s, p2)
     w2 = np.linalg.solve(red.K2, (part.C2.T @ y_c - w1 @ red.M.T).T).T
     ws = np.hstack([w1, w2])
     # K2* x2 = -[(A21 - B2 L1) x1 - B2 B* w] with L1 = B* P[:, :d]

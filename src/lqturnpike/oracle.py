@@ -107,12 +107,13 @@ def _assemble(plant, x0, y_c, y_e, t1, N):
     y_e = as_vector(y_e, "y_e")
     n, m, h = plant.n, plant.m, t1 / N
     wq = _trapezoid_weights(N, h)
-    if isinstance(plant, DescriptorPlant):
-        kind, d, wu = "dae", plant.d, wq          # controls at the nodes
-        g_parts, b = _dae_constraints(plant, x0, N, h)
-    elif isinstance(plant, LtiPlant):
+    # an LtiPlant is also a DescriptorPlant (E = I), so it is tested first
+    if isinstance(plant, LtiPlant):
         kind, d, wu = "ode", 0, np.full(N, h)     # controls at midpoints
         g_parts, b = _ode_constraints(plant, x0, N, h)
+    elif isinstance(plant, DescriptorPlant):
+        kind, d, wu = "dae", plant.d, wq          # controls at the nodes
+        g_parts, b = _dae_constraints(plant, x0, N, h)
     else:
         raise TypeError(f"unsupported plant type {type(plant).__name__}")
 

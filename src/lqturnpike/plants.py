@@ -8,62 +8,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolation, DimensionError
-from .linalg import (DEFAULT_TOL, as_matrix, rank_svd, smallest_singular_value,
-                     spectral_abscissa)
+from .linalg import (DEFAULT_TOL, _require_square, as_matrix, rank_svd,
+                     smallest_singular_value, spectral_abscissa)
 
 _REGULARITY_SEED = 20160817  # fixed seed for the randomized regularity probe
 _F_COMPAT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class LtiPlant:
-    """Standard state-space plant ``xdot = A x + B u`` with running output
-    ``C x`` and terminal weight ``F``."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        b = as_matrix(self.B, "B")
-        c = as_matrix(self.C, "C")
-        f = as_matrix(self.F, "F")
-        n = a.shape[0]
-        if a.shape[1] != n:
-            raise DimensionError(f"A must be square, got {a.shape}")
-        if b.shape[0] != n:
-            raise DimensionError(f"B has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise DimensionError(f"C has {c.shape[1]} columns, expected {n}")
-        if f.shape[1] != n:
-            raise DimensionError(f"F has {f.shape[1]} columns, expected {n}")
-        for name, m in (("A", a), ("B", b), ("C", c), ("F", f)):
-            object.__setattr__(self, name, m)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def k(self):
-        return self.C.shape[0]
-
-    @property
-    def terminal_weight(self):
-        """S = F*F, the quadratic terminal cost matrix."""
-        return self.F.T @ self.F
-
-
-@dataclass(frozen=True)
 class DescriptorPlant:
     """Semi-explicit descriptor plant ``E xdot = A x + B u`` with
-    ``E = diag(I_d, 0)`` exactly."""
+    ``E = diag(I_d, 0)`` exactly, running output ``C x`` and terminal
+    weight ``F``."""
 
     E: np.ndarray
     A: np.ndarray
@@ -77,11 +33,16 @@ class DescriptorPlant:
         b = as_matrix(self.B, "B")
         c = as_matrix(self.C, "C")
         f = as_matrix(self.F, "F")
+        _require_square(a, "A")
         n = a.shape[0]
-        if a.shape[1] != n or e.shape != (n, n):
-            raise DimensionError("E and A must be square of the same size")
-        if b.shape[0] != n or c.shape[1] != n or f.shape[1] != n:
-            raise DimensionError("B, C, F dimensions inconsistent with A")
+        if e.shape != (n, n):
+            raise DimensionError(f"E has shape {e.shape}, expected {(n, n)}")
+        if b.shape[0] != n:
+            raise DimensionError(f"B has {b.shape[0]} rows, expected {n}")
+        if c.shape[1] != n:
+            raise DimensionError(f"C has {c.shape[1]} columns, expected {n}")
+        if f.shape[1] != n:
+            raise DimensionError(f"F has {f.shape[1]} columns, expected {n}")
         d = _semi_explicit_order(e)
         for name, m in (("E", e), ("A", a), ("B", b), ("C", c), ("F", f)):
             object.__setattr__(self, name, m)
@@ -104,17 +65,30 @@ class DescriptorPlant:
         """Number of differential variables (size of the identity block)."""
         return self._d
 
+    @property
+    def terminal_weight(self):
+        """S = F*F, the quadratic terminal cost matrix."""
+        return self.F.T @ self.F
+
     def partition(self):
-        d, n = self.d, self.n
-        s_full = self.F.T @ self.F
+        d = self.d
         return SemiExplicitPartition(
             d=d,
             A11=self.A[:d, :d], A12=self.A[:d, d:],
             A21=self.A[d:, :d], A22=self.A[d:, d:],
             B1=self.B[:d, :], B2=self.B[d:, :],
             C1=self.C[:, :d], C2=self.C[:, d:],
-            S1=s_full[:d, :d], F1=self.F[:, :d],
+            S1=self.terminal_weight[:d, :d], F1=self.F[:, :d],
         )
+
+
+class LtiPlant(DescriptorPlant):
+    """Standard state-space plant ``xdot = A x + B u``: the descriptor plant
+    with E = I (d = n, no algebraic block)."""
+
+    def __init__(self, A, B, C, F):
+        a = as_matrix(A, "A")
+        super().__init__(E=np.eye(a.shape[0]), A=a, B=B, C=C, F=F)
 
 
 def _semi_explicit_order(e):
@@ -164,29 +138,31 @@ class StructuralReport:
                 and self.f_compatible)
 
 
-def check_pencil_regular(e, a, tol=DEFAULT_TOL, seed=_REGULARITY_SEED):
-    """Probabilistic regularity test: sE - A invertible at one of five
-    seeded random real shifts in [-10, 10].
+def _regular_shift(e, a, tol, seed):
+    """The first of 20 seeded random real shifts s in [-10, 10] at which
+    sE - A is invertible, or None.
 
-    Resamples a shift whenever it lands near-singular, so an unlucky draw at
-    an eigenvalue of the pencil does not produce a false negative.  A
-    uniformly singular pencil fails every draw.
+    A draw that lands near an eigenvalue of the pencil is passed over, so an
+    unlucky shift does not produce a false negative; a uniformly singular
+    pencil fails every draw.
     """
+    rng = np.random.default_rng(seed)
+    scale = max(np.linalg.norm(a, "fro"), np.linalg.norm(e, "fro"), 1.0)
+    for s in rng.uniform(-10.0, 10.0, 20):
+        m = s * e - a
+        if smallest_singular_value(m) > tol.rank_cut(m.shape) * scale:
+            return s
+    return None
+
+
+def check_pencil_regular(e, a, tol=DEFAULT_TOL, seed=_REGULARITY_SEED):
+    """Probabilistic regularity test: sE - A invertible at one of 20 seeded
+    random real shifts (``_regular_shift``)."""
     e = as_matrix(e, "E")
     a = as_matrix(a, "A")
     if e.shape != a.shape or e.shape[0] != e.shape[1]:
         raise DimensionError("E, A must be square of equal size")
-    if e.shape[0] == 0:
-        return True
-    rng = np.random.default_rng(seed)
-    scale = max(np.linalg.norm(a, "fro"), np.linalg.norm(e, "fro"), 1.0)
-    for _ in range(5):
-        for _ in range(4):  # resample on near-singularity
-            s = rng.uniform(-10.0, 10.0)
-            m = s * e - a
-            if smallest_singular_value(m) > tol.rank_cut(m.shape) * scale:
-                return True
-    return False
+    return _regular_shift(e, a, tol, seed) is not None
 
 
 def check_impulse_controllable(e, a, b, tol=DEFAULT_TOL):
@@ -202,12 +178,10 @@ def check_impulse_controllable(e, a, b, tol=DEFAULT_TOL):
 
 
 def check_impulse_free(e, a, tol=DEFAULT_TOL):
-    """rank [[E, 0], [A, E]] == n + rank E."""
+    """rank [[E, 0], [A, E]] == n + rank E: impulse controllability with no
+    input."""
     e = as_matrix(e, "E")
-    a = as_matrix(a, "A")
-    n = e.shape[0]
-    block = np.block([[e, np.zeros((n, n))], [a, e]])
-    return rank_svd(block, tol) == n + rank_svd(e, tol)
+    return check_impulse_controllable(e, a, np.zeros((e.shape[0], 0)), tol)
 
 
 def check_finite_dynamics_stable(part, tol=DEFAULT_TOL):
@@ -243,16 +217,10 @@ def _finite_pencil_eigenvalues(e, a, tol, seed=_REGULARITY_SEED):
     n = e.shape[0]
     if n == 0:
         return np.zeros(0, dtype=complex)
-    rng = np.random.default_rng(seed + 1)
-    scale = max(np.linalg.norm(a, "fro"), np.linalg.norm(e, "fro"), 1.0)
-    for _ in range(20):
-        s0 = rng.uniform(-10.0, 10.0)
-        m = s0 * e - a
-        if smallest_singular_value(m) > tol.rank_cut(m.shape) * scale:
-            break
-    else:
+    s0 = _regular_shift(e, a, tol, seed + 1)
+    if s0 is None:
         raise AssumptionViolation("regularity", "pencil appears singular")
-    mu = np.linalg.eigvals(np.linalg.solve(m, e))
+    mu = np.linalg.eigvals(np.linalg.solve(s0 * e - a, e))
     finite = np.abs(mu) > tol.rank_cut((n, n)) * max(1.0, np.max(np.abs(mu)))
     return s0 - 1.0 / mu[finite]
 
@@ -309,8 +277,3 @@ def structural_report(plant, tol=DEFAULT_TOL, seed=_REGULARITY_SEED):
                      "Riccati stage")
     return rep
 
-
-def wrap_standard(plant):
-    """View an LtiPlant as a descriptor plant with E = I."""
-    return DescriptorPlant(E=np.eye(plant.n), A=plant.A, B=plant.B,
-                           C=plant.C, F=plant.F)

@@ -97,7 +97,9 @@ class TestDaeOptimalTrajectory:
         assert abs(traj.x2[0, 0] - 99.0) > 10.0   # replaced, not honored
 
     def test_identity_descriptor_matches_lqr(self, abc_fperp):
-        dplant = lt.wrap_standard(abc_fperp)
+        dplant = lt.DescriptorPlant(E=np.eye(abc_fperp.n), A=abc_fperp.A,
+                                    B=abc_fperp.B, C=abc_fperp.C,
+                                    F=abc_fperp.F)
         traj_ode = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0],
                                          10.0)
         traj_dae = lt.dae_optimal_trajectory(dplant, [1.0, 1.0], [0.0], [1.0],

@@ -24,8 +24,7 @@ class TestFastBlock:
 
     def test_branch_enumeration(self):
         cands = _enumerate_fast_candidates(
-            np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]),
-            lt.Tolerances())
+            np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
         vals = sorted(c[0, 0] for c in cands)
         assert np.allclose(vals, [-2.0, 0.0], atol=1e-9)
 
@@ -107,7 +106,9 @@ class TestSolveGare:
         assert np.abs(ep - ep.T).max() < 1e-12
 
     def test_identity_descriptor_reduces(self, abc_fperp, are_abc):
-        gare = lt.solve_gare(lt.wrap_standard(abc_fperp))
+        gare = lt.solve_gare(lt.DescriptorPlant(
+            E=np.eye(abc_fperp.n), A=abc_fperp.A, B=abc_fperp.B,
+            C=abc_fperp.C, F=abc_fperp.F))
         assert np.abs(gare.P_plus - are_abc.P_plus).max() < 1e-10
         assert gare.lambda_bar == pytest.approx(are_abc.lam, abs=1e-8)
         assert np.abs(gare.A_bar - are_abc.A_plus).max() < 1e-10

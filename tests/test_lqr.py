@@ -370,10 +370,11 @@ def _random_standard(n=8, seed=0):
 
 @pytest.mark.parametrize("which", ["fperp", "fc", "random8"])
 def test_standard_plant_is_its_identity_descriptor(which, abc_fperp, abc_fc):
-    # the one branch on the plant kind: an LtiPlant skips the structural
-    # checks of its E = I descriptor plant, and nothing else differs
+    # an LtiPlant is the E = I descriptor plant itself: the solvers take
+    # both through the same path, so nothing differs
     plant = {"fperp": abc_fperp, "fc": abc_fc}.get(which) or _random_standard()
-    dplant = lt.wrap_standard(plant)
+    dplant = lt.DescriptorPlant(E=np.eye(plant.n), A=plant.A, B=plant.B,
+                                C=plant.C, F=plant.F)
     k, n = plant.C.shape
     x0, y_c = np.ones(n), np.linspace(-0.5, 0.5, k)
     y_e = np.ones(plant.F.shape[0])

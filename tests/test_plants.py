@@ -30,6 +30,22 @@ class TestPlantConstruction:
             lt.LtiPlant(A=a, B=np.zeros((2, 1)), C=np.zeros((1, 2)),
                         F=np.zeros((1, 2)))
 
+    def test_standard_plant_is_identity_descriptor(self, abc_fperp):
+        assert isinstance(abc_fperp, lt.DescriptorPlant)
+        assert np.array_equal(abc_fperp.E, np.eye(2))
+        assert abc_fperp.d == abc_fperp.n == 2
+        assert abc_fperp.partition().A22.shape == (0, 0)
+
+    @pytest.mark.parametrize("bad, name", [
+        ({"B": np.zeros((3, 1))}, "B"), ({"E": np.eye(3)}, "E")],
+        ids=["B_rows", "E_shape"])
+    def test_descriptor_dimension_names_matrix(self, bad, name):
+        mats = dict(E=np.diag([1.0, 0.0]), A=np.eye(2), B=np.zeros((2, 1)),
+                    C=np.zeros((1, 2)), F=np.zeros((1, 2)))
+        mats.update(bad)
+        with pytest.raises(DimensionError, match=rf"^{name} has"):
+            lt.DescriptorPlant(**mats)
+
     def test_semi_explicit_enforced(self):
         bad_e = np.diag([1.0, 0.5])
         with pytest.raises(DimensionError):
@@ -153,7 +169,13 @@ class TestStructuralReport:
         assert rep.regular
         assert not rep.impulse_controllable
 
-    def test_wrapped_standard_plant(self, abc_fperp):
-        rep = lt.structural_report(lt.wrap_standard(abc_fperp))
+    @pytest.mark.parametrize("wrapped", [True, False],
+                             ids=["identity_descriptor", "lti_plant"])
+    def test_wrapped_standard_plant(self, abc_fperp, wrapped):
+        plant = (lt.DescriptorPlant(E=np.eye(abc_fperp.n), A=abc_fperp.A,
+                                    B=abc_fperp.B, C=abc_fperp.C,
+                                    F=abc_fperp.F)
+                 if wrapped else abc_fperp)
+        rep = lt.structural_report(plant)
         assert rep.regular and rep.impulse_controllable and rep.impulse_free
         assert rep.finite_dynamics_stable and rep.f_compatible
