@@ -7,12 +7,16 @@ A standard plant (``LtiPlant``) is the descriptor plant with E = I, so one
 set of solvers serves both kinds.  The former names ``stabilizing_solution``,
 ``solve_dre``, ``dae_optimal_trajectory`` and ``dae_steady_state`` stay
 importable, outside ``__all__``.
+
+The numerical policy is fixed (``linalg.RESIDUAL_TOL``, ``linalg.PSD_SLACK``,
+``linalg.rank_cut`` and one seed for the regularity probe), so no function
+takes a tolerance or a seed.
 """
 
 from .errors import (AssumptionViolation, DimensionError, NumericalError,
                      SingularBracketError, ToolkitError)
-from .linalg import (Tolerances, expm, min_eig_sym, rank_svd,
-                     solve_are_stabilizing, solve_lyapunov, spectral_abscissa)
+from .linalg import (expm, min_eig_sym, rank_svd, solve_are_stabilizing,
+                     solve_lyapunov, spectral_abscissa)
 from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      StructuralReport, check_F_compatible,
                      check_finite_dynamics_stable, check_impulse_controllable,
@@ -37,7 +41,7 @@ __all__ = [
     "GramianSet", "LtiPlant", "NumericalError", "OptimalTrajectory",
     "OracleSolution", "SemiExplicitPartition", "SingularBracketError",
     "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
-    "Tolerances", "ToolkitError", "TurnpikeReport",
+    "ToolkitError", "TurnpikeReport",
     "check_convergence_condition", "check_F_compatible",
     "check_finite_dynamics_stable", "check_impulse_controllable",
     "check_impulse_free", "check_pencil_regular", "decompose_state",

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import dae_riccati, lqr, oracle, plants
 from .errors import AssumptionViolation, DimensionError, NumericalError
-from .linalg import Tolerances
 
 _EXAMPLE_ABC = {
     "A": [[2.0, 0.0], [0.0, -1.0]],
@@ -42,22 +41,24 @@ class Scenario:
     y_e: np.ndarray
     t1: float
     grid: int
-    tol: Tolerances
-    seed: int
-    raw: dict
     path: Path
 
 
-def _expect(data, key, path, required=True, default=None):
+def _expect(data, key, path):
     if key not in data:
-        if required:
-            raise ScenarioError(f"{path}: missing required field '{key}'")
-        return default
+        raise ScenarioError(f"{path}: missing required field '{key}'")
     return data[key]
 
 
+def _is_number(val):
+    """A finite JSON number: not a bool, NaN, Infinity or an integer beyond
+    the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _as_matrix_field(obj, key, path):
-    val = obj[key]
+    val = _expect(obj, key, path)
     if not isinstance(val, list) or not val or not all(
             isinstance(r, list) for r in val):
         raise ScenarioError(f"{path}.{key}: expected a non-empty nested array")
@@ -67,22 +68,28 @@ def _as_matrix_field(obj, key, path):
             raise ScenarioError(
                 f"{path}.{key}[{i}]: has {len(row)} entries, expected {width}")
         for j, entry in enumerate(row):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+            if not _is_number(entry):
                 raise ScenarioError(
-                    f"{path}.{key}[{i}][{j}]: expected a number, got "
-                    f"{type(entry).__name__}")
+                    f"{path}.{key}[{i}][{j}]: expected a finite number, got "
+                    f"{entry!r}")
     return np.asarray(val, dtype=float)
 
 
-def _as_vector_field(obj, key, path, expected_len=None):
+def _as_vector_field(obj, key, path, size):
+    """The flat numeric array of the given size under key; zeros if absent."""
+    if key not in obj:
+        return np.zeros(size)
     val = obj[key]
-    if not isinstance(val, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
+    if not isinstance(val, list):
         raise ScenarioError(f"{path}.{key}: expected a flat numeric array")
+    for i, entry in enumerate(val):
+        if not _is_number(entry):
+            raise ScenarioError(
+                f"{path}.{key}[{i}]: expected a finite number, got {entry!r}")
     v = np.asarray(val, dtype=float)
-    if expected_len is not None and v.size != expected_len:
+    if v.size != size:
         raise ScenarioError(
-            f"{path}.{key}: has {v.size} entries, expected {expected_len}")
+            f"{path}.{key}: has {v.size} entries, expected {size}")
     return v
 
 
@@ -105,56 +112,41 @@ def load_scenario(path):
     kind = _expect(data, "kind", where)
     if kind not in ("ode", "dae"):
         raise ScenarioError(f"{where}.kind: must be 'ode' or 'dae', got {kind!r}")
-    for key in ("A", "B", "C", "F"):
-        _expect(data, key, where)
     mats = {key: _as_matrix_field(data, key, where) for key in ("A", "B", "C", "F")}
-    n = mats["A"].shape[0]
-
     try:
         if kind == "dae":
-            _expect(data, "E", where)
-            mats["E"] = _as_matrix_field(data, "E", where)
-            plant = plants.DescriptorPlant(E=mats["E"], A=mats["A"], B=mats["B"],
-                                           C=mats["C"], F=mats["F"])
+            plant = plants.DescriptorPlant(
+                E=_as_matrix_field(data, "E", where), **mats)
         else:
-            plant = plants.LtiPlant(A=mats["A"], B=mats["B"], C=mats["C"],
-                                    F=mats["F"])
+            plant = plants.LtiPlant(**mats)
     except DimensionError as exc:
         raise ScenarioError(f"{where}: {exc}")
 
-    x0 = _as_vector_field(data, "x0", where, n) if "x0" in data else np.zeros(n)
-    y_c = (_as_vector_field(data, "y_c", where, plant.k)
-           if "y_c" in data else np.zeros(plant.k))
-    y_e = (_as_vector_field(data, "y_e", where, mats["F"].shape[0])
-           if "y_e" in data else np.zeros(mats["F"].shape[0]))
+    x0 = _as_vector_field(data, "x0", where, plant.n)
+    y_c = _as_vector_field(data, "y_c", where, plant.k)
+    y_e = _as_vector_field(data, "y_e", where, plant.F.shape[0])
     t1 = _expect(data, "t1", where)
-    if not isinstance(t1, (int, float)) or isinstance(t1, bool) or t1 <= 0:
-        raise ScenarioError(f"{where}.t1: expected a positive number")
-    grid = _expect(data, "grid", where, required=False, default=101)
+    if not _is_number(t1) or t1 <= 0:
+        raise ScenarioError(f"{where}.t1: expected a finite positive number, "
+                            f"got {t1!r}")
+    grid = data.get("grid", 101)
     if not isinstance(grid, int) or grid < 2:
         raise ScenarioError(f"{where}.grid: expected an integer >= 2")
-    seed = _expect(data, "seed", where, required=False, default=0)
-    if not isinstance(seed, int):
-        raise ScenarioError(f"{where}.seed: expected an integer")
-
-    tol_kwargs = {}
-    tol_data = _expect(data, "tolerances", where, required=False, default={})
-    if not isinstance(tol_data, dict):
-        raise ScenarioError(f"{where}.tolerances: expected an object")
-    for key, val in tol_data.items():
-        if key not in ("residual", "rank_rel", "psd_slack"):
-            raise ScenarioError(f"{where}.tolerances.{key}: unknown tolerance")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ScenarioError(f"{where}.tolerances.{key}: expected a number")
-        tol_kwargs[key] = float(val)
-    try:
-        tol = Tolerances(**tol_kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.tolerances: {exc}")
+    # the numerical policy and the regularity probe are fixed, so a scenario
+    # that sets them is refused rather than run at other values
+    if "seed" in data:
+        raise ScenarioError(f"{where}.seed: the regularity probe's seed is "
+                            "fixed; remove this field")
+    if "tolerances" in data:
+        tols = data["tolerances"]
+        field = f"{where}.tolerances"
+        if isinstance(tols, dict) and tols:
+            field += f".{next(iter(tols))}"
+        raise ScenarioError(f"{field}: the numerical tolerances are fixed; "
+                            "remove this field")
 
     return Scenario(kind=kind, plant=plant, x0=x0, y_c=y_c, y_e=y_e,
-                    t1=float(t1), grid=grid, tol=tol, seed=seed, raw=data,
-                    path=path)
+                    t1=float(t1), grid=grid, path=path)
 
 
 def normalized_json(sc):
@@ -169,9 +161,6 @@ def normalized_json(sc):
     out["y_e"] = sc.y_e.tolist()
     out["t1"] = sc.t1
     out["grid"] = sc.grid
-    out["seed"] = sc.seed
-    if "tolerances" in sc.raw:
-        out["tolerances"] = sc.raw["tolerances"]
     return json.dumps(out, indent=2, sort_keys=False)
 
 
@@ -213,8 +202,7 @@ def _structural_lines(rep):
 
 
 def cmd_check(sc, args):
-    rep = plants.structural_report(sc.plant, sc.tol,
-                                   seed=plants._REGULARITY_SEED + sc.seed)
+    rep = plants.structural_report(sc.plant)
     _print_report(_structural_lines(rep))
     return 0
 
@@ -222,10 +210,10 @@ def cmd_check(sc, args):
 def _solve_are(sc):
     """The stabilizing (g)ARE solution, and whether the backward Riccati flow
     converges to it from the plant's terminal weight."""
-    gare = dae_riccati.solve_gare(sc.plant, sc.tol)
-    gram = dae_riccati.gramians(gare, gare.B_bar, sc.tol)
+    gare = dae_riccati.solve_gare(sc.plant)
+    gram = dae_riccati.gramians(gare, gare.B_bar)
     conv = dae_riccati.check_convergence_condition(gare.partition.S1, gare,
-                                                   gram, sc.tol)
+                                                   gram)
     return gare, conv
 
 
@@ -244,7 +232,7 @@ def cmd_are(sc, args):
 
 def cmd_dre(sc, args):
     grid = args.grid or sc.grid
-    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid, sc.tol)
+    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid)
     norms = dre.norm_fro()
     out = _out_dir(args, sc) / f"{sc.path.stem}_dre.csv"
     write_csv(out, ["t", "normP_fro"], zip(dre.grid, norms))
@@ -255,8 +243,7 @@ def cmd_dre(sc, args):
 
 
 def _solve_trajectory(sc, grid):
-    return lqr.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1, grid,
-                                  sc.tol)
+    return lqr.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1, grid)
 
 
 def cmd_simulate(sc, args):
@@ -281,7 +268,7 @@ def cmd_turnpike(sc, args):
         raise ScenarioError(f"turnpike needs a grid of at least "
                             f"{lqr._MIN_TURNPIKE_GRID} nodes, got {grid}")
     gare, conv = _solve_are(sc)
-    steady = lqr.steady_state(sc.plant, gare, sc.y_c, sc.tol)
+    steady = lqr.steady_state(sc.plant, gare, sc.y_c)
     traj = _solve_trajectory(sc, grid)
     report = lqr.turnpike_report(traj, steady, lam=gare.lambda_bar)
     out = _out_dir(args, sc) / f"{sc.path.stem}_turnpike.csv"
@@ -305,7 +292,7 @@ def cmd_oracle(sc, args):
     if steps < oracle._MIN_STEPS:
         raise ScenarioError(f"--steps must be >= {oracle._MIN_STEPS}")
     sol = oracle.transcribe_and_solve(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
-                                      steps, sc.tol)
+                                      steps)
     traj = _solve_trajectory(sc, steps + 1)
     ts, xs, cost = traj.grid, traj.x, traj.cost
     err_x = np.linalg.norm(xs - sol.x, axis=1)
@@ -346,7 +333,6 @@ def _figure1_plants():
 
 
 def cmd_figure1(args):
-    tol = Tolerances()
     t1, grid = 10.0, 101
     x0 = np.array([1.0, 1.0])
     y_c = np.array([0.0])
@@ -355,11 +341,11 @@ def cmd_figure1(args):
     out_dir = _out_dir(args)
     manifest = []
     for tag, plant in (("fc", plant_fc), ("fperp", plant_fperp)):
-        dre = dae_riccati.solve_gdre(plant, t1, grid, tol)
+        dre = dae_riccati.solve_gdre(plant, t1, grid)
         path = out_dir / f"figure1_dre_{tag}.csv"
         write_csv(path, ["t", "normP_fro"], zip(dre.grid, dre.norm_fro()))
         manifest.append(path)
-        traj = lqr.optimal_trajectory(plant, x0, y_c, y_e, t1, grid, tol)
+        traj = lqr.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
         rows = []
         for t, x in zip(traj.grid, traj.x):
             rows.append([t, abs(x[0]), abs(x[1]), np.linalg.norm(x),
@@ -382,28 +368,26 @@ def build_parser():
         description="Finite-horizon LQR and turnpike diagnostics for "
                     "state-space and descriptor plants")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = ("--grid", "override the output grid size")
+    steps = ("--steps", "transcription steps")
 
-    def add(name, help_text, scenario=True):
+    def add(name, help_text, *options, scenario=True):
+        """A subcommand with --out and only the options it reads."""
         p = sub.add_parser(name, help=help_text)
         if scenario:
             p.add_argument("scenario", help="path to a JSON scenario file")
             p.add_argument("--dump-normalized", action="store_true",
                            help="print the normalized scenario JSON and exit")
         p.add_argument("--out", default=None, help="output directory for CSV")
-        p.add_argument("--grid", type=int, default=None,
-                       help="override the output grid size")
-        p.add_argument("--steps", type=int, default=None,
-                       help="transcription steps (oracle command)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        return p
+        for flag, help_option in options:
+            p.add_argument(flag, type=int, default=None, help=help_option)
 
     add("check", "structural checks only")
     add("are", "stabilizing algebraic Riccati solve")
-    add("dre", "backward differential Riccati solve, CSV of norm trace")
-    add("simulate", "optimal trajectory, CSV of state/input/output")
-    add("turnpike", "turnpike fit and envelope check, CSV of distances")
-    add("oracle", "compare against the direct-transcription oracle")
+    add("dre", "backward differential Riccati solve, CSV of norm trace", grid)
+    add("simulate", "optimal trajectory, CSV of state/input/output", grid)
+    add("turnpike", "turnpike fit and envelope check, CSV of distances", grid)
+    add("oracle", "compare against the direct-transcription oracle", steps)
     add("figure1", "reproduce the built-in two-panel reference data",
         scenario=False)
     return parser
@@ -430,11 +414,9 @@ def main(argv=None):
         if args.command == "figure1":
             return cmd_figure1(args)
         sc = load_scenario(args.scenario)
-        if args.seed is not None:
-            sc.seed = args.seed
-        if args.grid is not None and args.grid < 2:
+        if getattr(args, "grid", None) is not None and args.grid < 2:
             raise ScenarioError("--grid must be >= 2")
-        if getattr(args, "dump_normalized", False):
+        if args.dump_normalized:
             print(normalized_json(sc))
             return 0
         return _COMMANDS[args.command](sc, args)

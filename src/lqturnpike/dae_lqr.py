@@ -5,11 +5,10 @@ and the steady state of both plant kinds come from ``lqr``.
 Riccati solution belongs to.
 """
 
-from .linalg import DEFAULT_TOL
 from .lqr import optimal_trajectory, steady_state
 
 dae_optimal_trajectory = optimal_trajectory
 
 
-def dae_steady_state(gare, y_c, tol=DEFAULT_TOL):
-    return steady_state(gare.plant, gare, y_c, tol)
+def dae_steady_state(gare, y_c):
+    return steady_state(gare.plant, gare, y_c)

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import sweep
-from .linalg import (DEFAULT_TOL, as_matrix, expm, smallest_singular_value,
-                     solve_are_q, solve_lyapunov, spectral_abscissa, sym)
+from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, expm, is_singular,
+                     smallest_singular_value, solve_are_q, solve_lyapunov,
+                     spectral_abscissa, sym)
 from .plants import (check_F_compatible, check_impulse_controllable,
                      check_pencil_regular)
 
@@ -122,7 +123,6 @@ class StructuredDelta:
     gare: GareSolution
     S1: np.ndarray
     gram_bar: GramianSet
-    tol: object = DEFAULT_TOL
 
     @property
     def K_sup(self):
@@ -136,7 +136,7 @@ class StructuredDelta:
         bracket guard covers every span and names the first singular one."""
         d = self.S1 - self.gare.P1
         bracket = np.eye(d.shape[0]) + w @ d
-        bad = _is_singular(bracket, self.tol)
+        bad = is_singular(bracket)
         if np.any(bad):
             raise SingularBracketError(float(np.ravel(tau)[np.argmax(bad)]))
         s_tau = np.linalg.solve(np.swapaxes(bracket, -1, -2), d.T)
@@ -202,16 +202,6 @@ class StructuredDelta:
                 @ gram._of(e_st.T))
 
 
-def _is_singular(m, tol):
-    """smallest singular value <= rank cut x max(1, ||.||_2), for m or for
-    each matrix of a stack m; an empty matrix is not singular."""
-    if not m.size:
-        return False
-    sv = np.linalg.svd(m, compute_uv=False)
-    return sv[..., -1] <= tol.rank_cut(m.shape[-2:]) * np.maximum(1.0,
-                                                                  sv[..., 0])
-
-
 def _enumerate_fast_candidates(a22, b2, c2):
     """Symmetric solutions of the fast-block equation for blocks of size
     <= 2, via sign choices among the Hamiltonian eigenvalue pairs."""
@@ -243,7 +233,7 @@ def _enumerate_fast_candidates(a22, b2, c2):
     return cands
 
 
-def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
+def solve_fast_block(a22, b2, c2):
     """Constant fast-block solution P2 of
     A22* P2 + P2* A22 - P2* B2 B2* P2 + C2* C2 = 0 with K2 invertible.
 
@@ -270,17 +260,17 @@ def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
     if not b2.size or not np.any(b2):
         # Lyapunov-type equation A22* P2 + P2 A22 + C2* C2 = 0
         try:
-            p2 = solve_lyapunov(a22.T, c2.T @ c2, tol)
+            p2 = solve_lyapunov(a22.T, c2.T @ c2)
         except (AssumptionViolation, NumericalError) as exc:
             raise AssumptionViolation(
                 "fast-block", f"fast-block Lyapunov equation unsolvable: {exc}"
             ) from exc
-        _require_k2(a22, b2, p2, tol)
+        _require_k2(a22, b2, p2)
         return p2
 
     try:
-        p2 = solve_are_q(a22, b2 @ b2.T, c2.T @ c2, tol)
-        _require_k2(a22, b2, p2, tol)
+        p2 = solve_are_q(a22, b2 @ b2.T, c2.T @ c2)
+        _require_k2(a22, b2, p2)
         return p2
     except (AssumptionViolation, NumericalError):
         pass
@@ -292,7 +282,7 @@ def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
             "for branch enumeration")
     for cand in _enumerate_fast_candidates(a22, b2, c2):
         try:
-            _require_k2(a22, b2, cand, tol)
+            _require_k2(a22, b2, cand)
             return cand
         except AssumptionViolation:
             continue
@@ -300,8 +290,8 @@ def solve_fast_block(a22, b2, c2, tol=DEFAULT_TOL):
         "fast-block", "no symmetric fast-block solution with invertible K2")
 
 
-def _require_k2(a22, b2, p2, tol):
-    if _is_singular(_k2_of(a22, b2, p2), tol):
+def _require_k2(a22, b2, p2):
+    if is_singular(_k2_of(a22, b2, p2)):
         raise AssumptionViolation(
             "fast-block", "K2 = A22* - P2* B2 B2* is singular")
 
@@ -310,7 +300,7 @@ def _k2_of(a22, b2, p2):
     return a22.T - p2.T @ b2 @ b2.T
 
 
-def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
+def reduced_coefficients(part, p2):
     """Reduced Riccati coefficients after eliminating P21 through K2.
 
     With M = A12* - P2* B2 B1* and N = P2* A21 + C2* C1 the elimination
@@ -340,7 +330,7 @@ def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
     eigs = np.linalg.eigvalsh(q_t)   # one solve: ||Qt||_2 = max |eig|
     lam_min = float(np.min(eigs, initial=np.inf))
     scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
-    if lam_min < -tol.psd_slack * scale:
+    if lam_min < -PSD_SLACK * scale:
         raise AssumptionViolation(
             "definiteness",
             f"reduced state weight has eigenvalue {lam_min:.3e} < 0")
@@ -348,13 +338,13 @@ def reduced_coefficients(part, p2, tol=DEFAULT_TOL):
                                M=m, N=n_mat)
 
 
-def _require_structure(plant, tol):
+def _require_structure(plant):
     """Refuse a descriptor plant whose pencil is singular, which is not
     impulse controllable, or whose terminal weight acts on algebraic
     variables."""
-    if not check_pencil_regular(plant.E, plant.A, tol):
+    if not check_pencil_regular(plant.E, plant.A):
         raise AssumptionViolation("regularity", "pencil sE - A is singular")
-    if not check_impulse_controllable(plant.E, plant.A, plant.B, tol):
+    if not check_impulse_controllable(plant.E, plant.A, plant.B):
         raise AssumptionViolation(
             "impulse-controllability", "system is not impulse controllable")
     if not check_F_compatible(plant.E, plant.F):
@@ -363,16 +353,16 @@ def _require_structure(plant, tol):
             "terminal weight acts on algebraic variables")
 
 
-def _reduce(plant, tol):
+def _reduce(plant):
     """The one entry of both plant kinds, a standard plant being the
     descriptor plant with E = I.  The structural checks hold trivially at
     d = n and run only for d < n.  Returns (partition, P2, reduced
     coefficients); the fast block and the reduced weight refuse by name."""
     if plant.d < plant.n:
-        _require_structure(plant, tol)
+        _require_structure(plant)
     part = plant.partition()
-    p2 = solve_fast_block(part.A22, part.B2, part.C2, tol)
-    return part, p2, reduced_coefficients(part, p2, tol)
+    p2 = solve_fast_block(part.A22, part.B2, part.C2)
+    return part, p2, reduced_coefficients(part, p2)
 
 
 def _full_P(red, p1, p2):
@@ -388,18 +378,18 @@ def _full_P(red, p1, p2):
     return p
 
 
-def solve_gare(plant, tol=DEFAULT_TOL):
+def solve_gare(plant):
     """Stabilizing solution of the algebraic Riccati equation of either
     plant kind via the block reduction, with its closed loop verified."""
-    part, p2, red = _reduce(plant, tol)
+    part, p2, red = _reduce(plant)
     d = part.d
 
-    p1 = solve_are_q(red.A_t, red.R_t, red.Q_t, tol)
+    p1 = solve_are_q(red.A_t, red.R_t, red.Q_t)
     p_plus = _full_P(red, p1, p2)
     p21 = p_plus[d:, :d]
 
     resid = gare_residual(plant, p_plus)
-    if resid > tol.residual * (1.0 + np.linalg.norm(p_plus, "fro")):
+    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(p_plus, "fro")):
         raise NumericalError(
             f"generalized ARE residual {resid:.3e} exceeds tolerance")
     esym = plant.E.T @ p_plus - p_plus.T @ plant.E
@@ -411,7 +401,7 @@ def solve_gare(plant, tol=DEFAULT_TOL):
     a_p21, a_p2 = a_plus[d:, :d], a_plus[d:, d:]
     # with E = diag(I, 0), det(sE - A+) = det(-A+2) det(sI - Abar), so an
     # invertible A+2 also makes the closed-loop pencil regular
-    if _is_singular(a_p2, tol):
+    if is_singular(a_p2):
         raise AssumptionViolation(
             "impulse-freeness", "closed-loop fast block A+2 is singular")
 
@@ -438,17 +428,17 @@ def gare_residual(plant, p):
     return float(np.linalg.norm(r, "fro"))
 
 
-def solve_gdre(plant, t1, grid=101, tol=DEFAULT_TOL):
+def solve_gdre(plant, t1, grid=101):
     """Backward Riccati solve of either plant kind: sweep the reduced
     equation in the differential block from P1(t1) = S1 over its exact flow
     maps (``integrate.sweep`` with zero affine terms), slave the coupling
     block algebraically and keep the fast block constant.  No algebraic
     Riccati equation is solved, so plants whose slow dynamics cannot be
     stabilized get their solution too."""
-    part, p2, red = _reduce(plant, tol)
+    part, p2, red = _reduce(plant)
     zero = np.zeros(part.d)
     ts, p1s, _, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,
-                             zero, t1, grid, tol=tol)
+                             zero, t1, grid)
     return GdreSolution(t1=float(t1), grid=ts, P=_full_P(red, p1s, p2),
                         d=part.d)
 
@@ -480,22 +470,22 @@ def gdre_fd_residual(dre, plant):
     return resid, bound
 
 
-def gramians(are, b, tol=DEFAULT_TOL):
+def gramians(are, b):
     """Reachability Gramian set of the reduced closed loop (Abar, b): W
     solves Abar W + W Abar* + b b* = 0 (Abar = A+ for a standard plant)."""
     b = as_matrix(b, "B")
-    w = solve_lyapunov(are.A_bar, b @ b.T, tol)
+    w = solve_lyapunov(are.A_bar, b @ b.T)
     return GramianSet(W=sym(w), A_plus=are.A_bar)
 
 
-def check_convergence_condition(S, are, gram, tol=DEFAULT_TOL):
+def check_convergence_condition(S, are, gram):
     """True iff I + W (S - P1+) is invertible: the terminal weight is
     compatible with convergence of the backward Riccati flow to P+."""
     d = sym(as_matrix(S, "S")) - are.P1
-    return not _is_singular(np.eye(d.shape[0]) + gram.W @ d, tol)
+    return not is_singular(np.eye(d.shape[0]) + gram.W @ d)
 
 
-def structured_delta(gare, s1, tol=DEFAULT_TOL):
+def structured_delta(gare, s1):
     """Closed-form evaluator for P(t) - P+ under the terminal block S1.
 
     Requires the convergence condition I + Wbar (S1 - P1+) to be invertible,
@@ -504,10 +494,10 @@ def structured_delta(gare, s1, tol=DEFAULT_TOL):
     d = gare.A_bar.shape[0]
     if s1.shape != (d, d):
         raise ValueError(f"S1 must be {d}x{d}")
-    gram_bar = gramians(gare, gare.B_bar, tol)
-    if not check_convergence_condition(s1, gare, gram_bar, tol):
+    gram_bar = gramians(gare, gare.B_bar)
+    if not check_convergence_condition(s1, gare, gram_bar):
         raise AssumptionViolation(
             "convergence-condition",
             "I + Wbar (S1 - P1+) is singular; the generalized Riccati flow "
             "does not converge for this terminal weight")
-    return StructuredDelta(gare=gare, S1=s1, gram_bar=gram_bar, tol=tol)
+    return StructuredDelta(gare=gare, S1=s1, gram_bar=gram_bar)

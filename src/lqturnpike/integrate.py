@@ -28,7 +28,7 @@ state, and the unobservable state x_u over the full forward map.
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import DEFAULT_TOL, expm
+from .linalg import expm, rank_cut
 
 # largest span, length times ||H||_1, of one flow map: the maps' growth
 # e^{span} stays small, so the sweep loses no digits on long horizons
@@ -37,30 +37,29 @@ _MAX_STEP_NORM = 4.0
 _MAX_BLOCK = 256
 
 
-def _null_basis(m, scale, tol):
+def _null_basis(m, scale):
     """Orthonormal basis of the numerical kernel of m: the right singular
     vectors whose singular values are at most the rank cut times scale.
     Also returns the smallest singular value kept above the cut, relative
     to scale (inf when none is kept)."""
     _, sv, vt = np.linalg.svd(m)
-    rank = int(np.sum(sv > tol.rank_cut(m.shape) * scale))
+    rank = int(np.sum(sv > rank_cut(m.shape) * scale))
     gap = sv[rank - 1] / scale if rank else np.inf
     return vt[rank:].T, gap
 
 
-def _unobservable_basis(a, q, s, tol):
+def _unobservable_basis(a, q, s):
     """Orthonormal basis of the largest a-invariant subspace in ker [q; s]:
     shrink the kernel to the part that a maps back into it until it is
     invariant (at most d rounds).  Also returns the rank gap of the split:
     the smallest singular value, relative to its scale, that any round kept
     as observable (inf when none)."""
     m = np.vstack([q, s])
-    basis, gap = _null_basis(m, np.linalg.norm(m, 2), tol)
+    basis, gap = _null_basis(m, np.linalg.norm(m, 2))
     scale = np.linalg.norm(a, 2)
     while basis.shape[1]:
         moved = a @ basis
-        keep, kept_gap = _null_basis(moved - basis @ (basis.T @ moved),
-                                     scale, tol)
+        keep, kept_gap = _null_basis(moved - basis @ (basis.T @ moved), scale)
         gap = min(gap, kept_gap)
         if keep.shape[1] == basis.shape[1]:
             break
@@ -90,7 +89,7 @@ def _affine_map(ham, t):
     return e
 
 
-def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None, tol=DEFAULT_TOL):
+def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None):
     """Solve the boundary-value problem above on ``grid`` uniform nodes from
     0 to t1.
 
@@ -104,7 +103,7 @@ def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None, tol=DEFAULT_TOL):
     if not t1 > 0.0:
         raise ValueError("t1 must be positive")
     d = a.shape[0]
-    u_basis, gap = _unobservable_basis(a, q, s, tol)
+    u_basis, gap = _unobservable_basis(a, q, s)
     k = u_basis.shape[1]
     do = d - k
     # the orthonormal basis v = [v_o, v_u]; the identity when everything is

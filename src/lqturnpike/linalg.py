@@ -7,9 +7,12 @@ Bartels-Stewart ``solve_continuous_lyapunov`` and an ordered real Schur form
 Everything operates on plain 2-D numpy arrays of float64.  All functions are
 pure; solvers validate their own contracts (residual bounds, stability of the
 closed loop) before returning.
-"""
 
-from dataclasses import dataclass
+The numerical policy is fixed: Lyapunov and Riccati residuals are bounded
+by ``RESIDUAL_TOL``, a reduced state weight may fall ``PSD_SLACK`` below
+semidefinite, and ``rank_svd`` and ``is_singular`` cut singular values at
+``rank_cut(shape)`` relative to the largest one.
+"""
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,35 +20,23 @@ import scipy.linalg as sla
 from .errors import AssumptionViolation, DimensionError, NumericalError
 
 EPS = float(np.finfo(np.float64).eps)
+RESIDUAL_TOL = 1e-8  # residual bound, relative to 1 + ||solution||_F
+PSD_SLACK = 1e-9     # semidefiniteness slack, relative to max(1, ||.||_2)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used throughout the toolkit.
-
-    ``rank_rel=None`` means the machine default ``eps * max(shape)`` is used
-    relative to the largest singular value of the matrix at hand.
-    """
-
-    residual: float = 1e-8
-    rank_rel: float | None = None
-    psd_slack: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("residual", "psd_slack"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
-        if self.rank_rel is not None and not self.rank_rel > 0.0:
-            raise ValueError("tolerance rank_rel must be strictly positive")
-
-    def rank_cut(self, shape):
-        """Relative singular-value cutoff for a matrix of the given shape."""
-        if self.rank_rel is not None:
-            return self.rank_rel
-        return EPS * max(max(shape), 1)
+def rank_cut(shape):
+    """Relative singular-value cutoff, eps * max(shape), for a matrix of the
+    given shape."""
+    return EPS * max(*shape, 1)
 
 
-DEFAULT_TOL = Tolerances()
+def is_singular(m):
+    """smallest singular value <= rank cut x max(1, ||.||_2), for m or for
+    each matrix of a stack m; an empty matrix is not singular."""
+    if not m.size:
+        return False
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., -1] <= rank_cut(m.shape[-2:]) * np.maximum(1.0, sv[..., 0])
 
 
 def as_matrix(a, name="matrix"):
@@ -110,7 +101,7 @@ def min_eig_sym(m):
     return float(np.linalg.eigvalsh(sym(a))[0])
 
 
-def rank_svd(m, tol=DEFAULT_TOL):
+def rank_svd(m):
     """Numerical rank: number of singular values above the relative cutoff."""
     a = np.asarray(m)
     if a.ndim != 2:
@@ -120,7 +111,7 @@ def rank_svd(m, tol=DEFAULT_TOL):
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol.rank_cut(a.shape) * sv[0]))
+    return int(np.sum(sv > rank_cut(a.shape) * sv[0]))
 
 
 def smallest_singular_value(m):
@@ -130,7 +121,7 @@ def smallest_singular_value(m):
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-def solve_lyapunov(a_stable, q_sym, tol=DEFAULT_TOL):
+def solve_lyapunov(a_stable, q_sym):
     """Solve ``A X + X A* + Q = 0`` for symmetric X by the Bartels-Stewart
     method (real Schur form of A, then a quasi-triangular Sylvester solve;
     O(n^3) time, O(n^2) memory).
@@ -155,7 +146,7 @@ def solve_lyapunov(a_stable, q_sym, tol=DEFAULT_TOL):
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Bartels-Stewart solve failed: {exc}") from exc
     resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
-    if resid > tol.residual * (1.0 + np.linalg.norm(x, "fro")):
+    if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(x, "fro")):
         raise NumericalError(
             f"Lyapunov residual {resid:.3e} exceeds tolerance")
     return x
@@ -165,7 +156,7 @@ def _are_residual(a, bbt, q, p):
     return a.T @ p + p @ a - p @ bbt @ p + q
 
 
-def _kleinman_refine(a, bbt, q, p0, tol, max_iter=12):
+def _kleinman_refine(a, bbt, q, p0, max_iter=12):
     """Newton (Kleinman) refinement of an approximately stabilizing ARE
     solution; each step is one Lyapunov solve with the current closed loop.
 
@@ -181,7 +172,7 @@ def _kleinman_refine(a, bbt, q, p0, tol, max_iter=12):
         if spectral_abscissa(a_cl) >= 0.0:
             break
         try:
-            p_next = sym(solve_lyapunov(a_cl.T, q + p @ bbt @ p, tol))
+            p_next = sym(solve_lyapunov(a_cl.T, q + p @ bbt @ p))
         except (NumericalError, AssumptionViolation):
             break
         res = np.linalg.norm(_are_residual(a, bbt, q, p_next), "fro")
@@ -194,7 +185,7 @@ def _kleinman_refine(a, bbt, q, p0, tol, max_iter=12):
     return best_p
 
 
-def solve_are_q(a, bbt, q, tol=DEFAULT_TOL):
+def solve_are_q(a, bbt, q):
     """Stabilizing solution of ``A*X + XA - X BB* X + Q = 0`` with
     ``BB*``, ``Q`` symmetric PSD, via the stable invariant subspace of the
     Hamiltonian ``[[A, -BB*], [-Q, -A*]]`` plus Newton residual polish.
@@ -246,11 +237,11 @@ def solve_are_q(a, bbt, q, tol=DEFAULT_TOL):
             f"stable-subspace basis has cond(X11) = {cond_x11:.2e} > "
             "1e12; the stabilizing solution is too ill-conditioned to compute")
     p = sym(np.linalg.solve(x11.T, x21.T).T)
-    p = _kleinman_refine(a, bbt, q, p, tol)
+    p = _kleinman_refine(a, bbt, q, p)
 
     resid = np.linalg.norm(_are_residual(a, bbt, q, p), "fro")
     norm_p = np.linalg.norm(p, "fro")
-    if resid > tol.residual * (1.0 + norm_p):
+    if resid > RESIDUAL_TOL * (1.0 + norm_p):
         raise NumericalError(
             f"ARE residual {resid:.3e} exceeds tolerance (||P||_F = "
             f"{norm_p:.2e}, cond(X11) = {cond_x11:.2e})")
@@ -260,11 +251,11 @@ def solve_are_q(a, bbt, q, tol=DEFAULT_TOL):
     return p
 
 
-def solve_are_stabilizing(a, b, c, tol=DEFAULT_TOL):
+def solve_are_stabilizing(a, b, c):
     """Stabilizing solution of ``A*X + XA - X BB* X + C*C = 0``."""
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     c = as_matrix(c, "C")
     if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
         raise DimensionError("A, B, C dimensions are inconsistent")
-    return solve_are_q(a, b @ b.T, c.T @ c, tol)
+    return solve_are_q(a, b @ b.T, c.T @ c)

@@ -13,7 +13,7 @@ import numpy as np
 from .dae_riccati import _full_P, _reduce
 from .errors import NumericalError
 from .integrate import flow_maps, sweep
-from .linalg import DEFAULT_TOL, as_vector, expm
+from .linalg import as_vector, expm
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +122,7 @@ class TurnpikeReport:
     notes: list = field(default_factory=list)
 
 
-def steady_state(plant, are, y_c, tol=DEFAULT_TOL):
+def steady_state(plant, are, y_c):
     """Steady-state optimum of either plant kind: x_s = A+^{-1} BB* A+^{-*}
     C* y_c, w_s = A+^{-*} C* y_c, u_s = -B*(P+ x_s + w_s), with the full
     closed loop A+ (invertible, since A+2 is and Abar is stable)."""
@@ -157,7 +157,7 @@ def steady_state(plant, are, y_c, tol=DEFAULT_TOL):
                        kkt_residual=max(resids), d=are.partition.d)
 
 
-def feedforward(delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
+def feedforward(delta, y_c, y_e, t1, grid=101):
     """Feedforward w = w_h + w_p of a standard plant (d = n) by the closed
     forms of ``delta`` at every node at once, cross-checked against the
     backward (P, w) sweep of ``optimal_trajectory`` on the same grid.  With
@@ -177,7 +177,7 @@ def feedforward(delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
                          f"(d = n), not d = {g.partition.d} < n = {n}")
     y_c = as_vector(y_c, "y_c")
     y_e = as_vector(y_e, "y_e")
-    w_int = optimal_trajectory(plant, np.zeros(n), y_c, y_e, t1, grid, tol).w
+    w_int = optimal_trajectory(plant, np.zeros(n), y_c, y_e, t1, grid).w
     ts = np.linspace(0.0, t1, grid)
     ap, w_inf, ident = g.A_plus, delta.gram_bar.W, np.eye(n)
     # e^{tau A+} at the nodes, in descending tau
@@ -197,7 +197,7 @@ def feedforward(delta, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
         max_discrepancy=float(np.max(np.linalg.norm(w - w_int, axis=1))))
 
 
-def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
+def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
     """Solve the affine finite-horizon problem for a standard plant (the
     n2 = 0 case) or a semi-explicit descriptor plant.
 
@@ -221,7 +221,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     y_e = as_vector(y_e, "y_e")
     if x0.size != plant.n:
         raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
-    part, p2, red = _reduce(plant, tol)
+    part, p2, red = _reduce(plant)
     d = part.d
 
     k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
@@ -230,7 +230,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101, tol=DEFAULT_TOL):
     c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
     ts, p1s, w1, x1s, gap = sweep(red.A_t, red.R_t, red.Q_t, part.S1,
                                   -red.G @ z, c_t, -part.F1.T @ y_e, t1, grid,
-                                  x0[:d], tol)
+                                  x0[:d])
 
     ps = _full_P(red, p1s, p2)
     w2 = np.linalg.solve(red.K2, (part.C2.T @ y_c - w1 @ red.M.T).T).T
@@ -275,7 +275,7 @@ def _running_cost(ts, ys, us, y_c):
     return float(np.trapezoid(integrand, ts))
 
 
-def decompose_state(traj, are, steady, tol=DEFAULT_TOL):
+def decompose_state(traj, are, steady):
     """Split a trajectory as x = x_h + x_s - transient + g, where x_h is the
     homogeneous solution from the same x0 (y_c = 0, y_e = 0) and
     transient(t) = [I; -A+2^{-1} A+21] e^{t Abar} x_s1; the remainder g
@@ -287,7 +287,7 @@ def decompose_state(traj, are, steady, tol=DEFAULT_TOL):
     x0[:d] = traj.x[0, :d]
     x_h = optimal_trajectory(plant, x0, np.zeros(plant.k),
                              np.zeros(plant.F.shape[0]), float(ts[-1]),
-                             ts.size, tol).x
+                             ts.size).x
     lift = np.vstack([np.eye(d), -np.linalg.solve(are.A_p2, are.A_p21)])
     # e^{t Abar} on the uniform grid: the powers of one step's map
     maps = flow_maps(expm((ts[1] - ts[0]) * are.A_bar), ts.size - 1)

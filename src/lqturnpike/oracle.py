@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import DEFAULT_TOL, as_vector, rank_svd
+from .linalg import as_vector, rank_svd
 from .plants import DescriptorPlant, LtiPlant
 
 _RANK_CHECK_MAX_N = 200  # full row-rank audit (dense SVD of G) only at small sizes
@@ -187,7 +187,7 @@ def _dae_constraints(plant, x0, N, h):
     return parts, b
 
 
-def transcribe_and_solve(plant, x0, y_c, y_e, t1, N, tol=DEFAULT_TOL):
+def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
     """Discretize and solve the equality-constrained QP by one sparse LU of
     its KKT matrix.
 
@@ -199,7 +199,7 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N, tol=DEFAULT_TOL):
     from scipy.sparse.linalg import splu
 
     disc = _assemble(plant, x0, y_c, y_e, t1, N)
-    if N <= _RANK_CHECK_MAX_N and rank_svd(disc.G.toarray(), tol) < disc.G.shape[0]:
+    if N <= _RANK_CHECK_MAX_N and rank_svd(disc.G.toarray()) < disc.G.shape[0]:
         raise NumericalError("rank-deficient KKT system (structural "
                              "assumptions violated)")
     nz = disc.H.shape[0]

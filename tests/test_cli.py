@@ -79,13 +79,34 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="x0"):
             load_scenario(path)
 
-    @pytest.mark.parametrize("key", ["ode_rel", "residul"])
+    @pytest.mark.parametrize("key", ["ode_rel", "residul", "residual"])
     def test_unknown_tolerance(self, key, tmp_path):
         # a removed or misspelled tolerance is refused, not silently ignored
         data = dict(ODE_SCENARIO, tolerances={key: 1e-6})
         path = _write(tmp_path, "s.json", data)
         with pytest.raises(ScenarioError, match=f"tolerances.{key}"):
             load_scenario(path)
+
+    def test_seed_refused(self, tmp_path, capsys):
+        # the regularity probe's seed is fixed, so setting one is refused
+        path = _write(tmp_path, "s.json", dict(ODE_SCENARIO, seed=3))
+        with pytest.raises(ScenarioError, match=r"s\.json\.seed"):
+            load_scenario(path)
+        assert main(["check", str(path)]) == 1
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("t1", float("nan"), "t1"),
+        ("t1", float("inf"), "t1"),
+        ("x0", [float("nan"), 1.0], r"x0\[0\]"),
+        ("y_c", [float("inf")], r"y_c\[0\]"),
+        ("A", [[2.0, float("nan")], [0.0, -1.0]], r"A\[0\]\[1\]"),
+    ], ids=["t1-nan", "t1-inf", "x0-nan", "y_c-inf", "A-nan"])
+    def test_non_finite_number(self, key, value, where, tmp_path, capsys):
+        # json reads NaN and Infinity literals; they are parse errors
+        path = _write(tmp_path, "s.json", dict(ODE_SCENARIO, **{key: value}))
+        with pytest.raises(ScenarioError, match=rf"s\.json\.{where}:"):
+            load_scenario(path)
+        assert main(["simulate", str(path)]) == 1
 
     def test_json_error_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -235,6 +256,16 @@ class TestExitCodes:
         path = _write(tmp_path, "ode.json", data)
         assert main([args[0], str(path), *args[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["oracle", "--grid", "33"], ["check", "--steps", "5"],
+        ["check", "--grid", "1"], ["are", "--seed", "1"],
+    ], ids=["oracle-grid", "check-steps", "check-grid", "are-seed"])
+    def test_inert_flag_is_usage_error(self, args, tmp_path, capsys):
+        # each subcommand takes only the flags it reads
+        path = _write(tmp_path, "ode.json", ODE_SCENARIO)
+        assert main([args[0], str(path), *args[1:]]) == 1
+        assert main(["check", str(path), "--out", str(tmp_path)]) == 0
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()

@@ -5,6 +5,7 @@ import lqturnpike as lt
 from lqturnpike.dae_riccati import (_enumerate_fast_candidates, gare_residual,
                                     gdre_fd_residual)
 from lqturnpike.errors import AssumptionViolation
+from lqturnpike.linalg import PSD_SLACK
 
 from conftest import SQRT2, integrate
 
@@ -231,10 +232,9 @@ class TestStructuredDelta:
 
     def test_sliding_monotone_on_reduced_system(self, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        tol = lt.Tolerances()
         vals = [delta.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
-            assert lt.min_eig_sym(older - newer) >= -tol.psd_slack
+            assert lt.min_eig_sym(older - newer) >= -PSD_SLACK
         wnorm = np.linalg.norm(delta.gram_bar.W, 2)
         for tau in TAU_GRID:
             assert np.linalg.norm(delta.gram_bar.at(tau), 2) <= wnorm + 1e-12

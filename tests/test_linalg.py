@@ -4,7 +4,7 @@ import scipy.linalg as sla
 
 import lqturnpike as lt
 from lqturnpike.errors import AssumptionViolation, DimensionError, NumericalError
-from lqturnpike.linalg import solve_are_q
+from lqturnpike.linalg import PSD_SLACK, RESIDUAL_TOL, rank_cut, solve_are_q
 
 from conftest import A_PLUS_ABC, P_PLUS_ABC, SQRT2, W_ABC
 
@@ -56,32 +56,30 @@ class TestLyapunov:
 
     def test_random_stable(self):
         rng = np.random.default_rng(7)
-        tol = lt.Tolerances()
         for n in (2, 3, 5):
             for _ in range(5):
                 a = rng.standard_normal((n, n))
                 a -= (lt.spectral_abscissa(a) + 0.5) * np.eye(n)
                 g = rng.standard_normal((n, n))
                 q = g @ g.T
-                x = lt.solve_lyapunov(a, q, tol)
+                x = lt.solve_lyapunov(a, q)
                 assert np.abs(x - x.T).max() < 1e-12 * (1 + np.abs(x).max())
                 resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
-                assert resid <= tol.residual * (1 + np.linalg.norm(x, "fro"))
-                assert lt.min_eig_sym(x) >= -tol.psd_slack
+                assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(x, "fro"))
+                assert lt.min_eig_sym(x) >= -PSD_SLACK
 
     @pytest.mark.parametrize("n", [10, 40, 100])
     def test_large_random_stable(self, n):
         rng = np.random.default_rng(n)
-        tol = lt.Tolerances()
         a = rng.standard_normal((n, n)) / np.sqrt(n)
         a -= (lt.spectral_abscissa(a) + 0.5) * np.eye(n)
         g = rng.standard_normal((n, 3))
         q = g @ g.T
-        x = lt.solve_lyapunov(a, q, tol)
+        x = lt.solve_lyapunov(a, q)
         assert np.abs(x - x.T).max() < 1e-12 * (1 + np.abs(x).max())
         resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
-        assert resid <= tol.residual * (1 + np.linalg.norm(x, "fro"))
-        assert lt.min_eig_sym(x) >= -tol.psd_slack
+        assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(x, "fro"))
+        assert lt.min_eig_sym(x) >= -PSD_SLACK
 
     def test_unstable_rejected(self):
         with pytest.raises(AssumptionViolation):
@@ -113,16 +111,15 @@ class TestAre:
 
     def test_random_instances(self):
         rng = np.random.default_rng(23)
-        tol = lt.Tolerances()
         for _ in range(8):
             n, m, k = 3, 2, 2
             a = rng.standard_normal((n, n))
             b = rng.standard_normal((n, m))
             c = rng.standard_normal((k, n))
-            p = lt.solve_are_stabilizing(a, b, c, tol)
+            p = lt.solve_are_stabilizing(a, b, c)
             resid = np.linalg.norm(
                 a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c, "fro")
-            assert resid <= tol.residual * (1 + np.linalg.norm(p, "fro"))
+            assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(p, "fro"))
             assert lt.spectral_abscissa(a - b @ b.T @ p) < 0.0
 
     @pytest.mark.parametrize("n", [10, 33])
@@ -200,13 +197,6 @@ class TestRankAndSpectra:
 
 class TestTolerances:
     def test_defaults(self):
-        tol = lt.Tolerances()
-        assert tol.residual == 1e-8 and tol.psd_slack == 1e-9
+        assert RESIDUAL_TOL == 1e-8 and PSD_SLACK == 1e-9
         eps = np.finfo(float).eps
-        assert tol.rank_cut((5, 3)) == pytest.approx(5 * eps)
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            lt.Tolerances(residual=0.0)
-        with pytest.raises(ValueError):
-            lt.Tolerances(rank_rel=-1e-3)
+        assert rank_cut((5, 3)) == pytest.approx(5 * eps)

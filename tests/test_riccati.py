@@ -4,6 +4,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 import lqturnpike as lt
 from lqturnpike.errors import SingularBracketError
+from lqturnpike.linalg import PSD_SLACK
 from lqturnpike.riccati import dre_fd_residual
 
 from conftest import P_PLUS_ABC, SQRT2, integrate, riccati_field
@@ -117,11 +118,10 @@ class TestSlidingTerminal:
             assert st.at(tau)[0, 0] == pytest.approx(expect, rel=1e-10)
 
     def test_loewner_decreasing(self, abc_fperp, are_abc, gram_abc):
-        tol = lt.Tolerances()
         st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         vals = [st.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
-            assert lt.min_eig_sym(older - newer) >= -tol.psd_slack
+            assert lt.min_eig_sym(older - newer) >= -PSD_SLACK
 
     def test_k_sup(self, abc_fperp, are_abc, gram_abc):
         st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
