@@ -169,10 +169,10 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """One header line and a row of 17-digit numbers per row of the 2-D
+    array rows (the same digits as ``_fmt``)."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _out_dir(args, sc=None):
@@ -235,7 +235,7 @@ def cmd_dre(sc, args):
     dre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid)
     norms = dre.norm_fro()
     out = _out_dir(args, sc) / f"{sc.path.stem}_dre.csv"
-    write_csv(out, ["t", "normP_fro"], zip(dre.grid, norms))
+    write_csv(out, ["t", "normP_fro"], np.column_stack([dre.grid, norms]))
     _print_report([("normP_at_0", _fmt(norms[0])),
                    ("normP_at_t1", _fmt(norms[-1])),
                    ("csv", out)])
@@ -254,10 +254,8 @@ def cmd_simulate(sc, args):
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]
               + [f"u_{i + 1}" for i in range(m)]
               + [f"y_{i + 1}" for i in range(k)])
-    rows = (np.concatenate([[t], x, u, y])
-            for t, x, u, y in zip(ts, xs, us, ys))
     out = _out_dir(args, sc) / f"{sc.path.stem}_trajectory.csv"
-    write_csv(out, header, rows)
+    write_csv(out, header, np.column_stack([ts, xs, us, ys]))
     _print_report([("cost", _fmt(traj.cost)), ("csv", out)])
     return 0
 
@@ -273,7 +271,8 @@ def cmd_turnpike(sc, args):
     report = lqr.turnpike_report(traj, steady, lam=gare.lambda_bar)
     out = _out_dir(args, sc) / f"{sc.path.stem}_turnpike.csv"
     write_csv(out, ["t", "dist_x", "dist_u", "envelope"],
-              zip(traj.grid, report.dist_x, report.dist_u, report.envelope))
+              np.column_stack([traj.grid, report.dist_x, report.dist_u,
+                               report.envelope]))
     _print_report([
         ("convergence_condition", conv),
         ("lambda_theory", _fmt(gare.lambda_bar)),
@@ -301,10 +300,8 @@ def cmd_oracle(sc, args):
     header += [f"x_ric_{i + 1}" for i in range(n)]
     header += [f"x_orc_{i + 1}" for i in range(n)]
     header += ["err_x"]
-    rows = (np.concatenate([[t], xr, xo, [e]])
-            for t, xr, xo, e in zip(ts, xs, sol.x, err_x))
     out = _out_dir(args, sc) / f"{sc.path.stem}_oracle.csv"
-    write_csv(out, header, rows)
+    write_csv(out, header, np.column_stack([ts, xs, sol.x, err_x]))
     rel_cost = abs(sol.cost - cost) / (1.0 + abs(cost))
     _print_report([
         ("steps", steps),
@@ -343,14 +340,16 @@ def cmd_figure1(args):
     for tag, plant in (("fc", plant_fc), ("fperp", plant_fperp)):
         dre = dae_riccati.solve_gdre(plant, t1, grid)
         path = out_dir / f"figure1_dre_{tag}.csv"
-        write_csv(path, ["t", "normP_fro"], zip(dre.grid, dre.norm_fro()))
+        write_csv(path, ["t", "normP_fro"],
+                  np.column_stack([dre.grid, dre.norm_fro()]))
         manifest.append(path)
         traj = lqr.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
-        rows = []
-        for t, x in zip(traj.grid, traj.x):
-            rows.append([t, abs(x[0]), abs(x[1]), np.linalg.norm(x),
-                         abs(float((plant.F @ x)[0])),
-                         abs(float((plant.C @ x)[0]))])
+        xs = traj.x
+        # the norm as one dot product per row, the digits of norm(x)
+        rows = np.column_stack([traj.grid, np.abs(xs),
+                                np.sqrt(np.vecdot(xs, xs)),
+                                np.abs(xs @ plant.F[0]),
+                                np.abs(xs @ plant.C[0])])
         path = out_dir / f"figure1_state_{tag}.csv"
         write_csv(path, ["t", "abs_x1", "abs_x2", "norm_x", "abs_Fx", "abs_Cx"],
                   rows)

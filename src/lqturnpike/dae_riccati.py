@@ -4,10 +4,15 @@ semi-explicit descriptor plants, of which a standard plant is the d = n case.
 Every solve enters through ``_reduce``: a constant fast-block solution P2
 with invertible K2 = A22* - P2* B2 B2*, the algebraic elimination of the
 coupling block P21, and a reduced standard Riccati equation in the
-differential block P1.  For a standard plant the fast block is empty, the
-reduced coefficients are (A, BB*, C*C) and P = P1.  The difference
-P(t) - P+ has second block column zero and is given in closed form through
-the reduced closed loop (Abar, Bbar).
+differential block P1.  P2 is the stabilizing solution of the fast-block
+equation, or the anti-stabilizing one where the stabilizing one does not
+exist or leaves K2 singular (one Schur ARE solve on A22, then on -A22).
+The branch changes the P21 and P2 blocks of P+, K2, A+ and Bbar up to an
+orthogonal factor (Bbar Bbar* stays); P1, Abar, Cbar, Wbar, the steady
+state and every trajectory do not depend on it.  For a standard plant the
+fast block is empty, the reduced coefficients are (A, BB*, C*C) and P = P1.
+The difference P(t) - P+ has second block column zero and is given in
+closed form through the reduced closed loop (Abar, Bbar).
 """
 
 from dataclasses import dataclass
@@ -17,8 +22,7 @@ import numpy as np
 from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import sweep
 from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, expm, is_singular,
-                     smallest_singular_value, solve_are_q, solve_lyapunov,
-                     spectral_abscissa, sym)
+                     solve_are_q, solve_lyapunov, spectral_abscissa, sym)
 from .plants import (check_F_compatible, check_impulse_controllable,
                      check_pencil_regular)
 
@@ -202,92 +206,35 @@ class StructuredDelta:
                 @ gram._of(e_st.T))
 
 
-def _enumerate_fast_candidates(a22, b2, c2):
-    """Symmetric solutions of the fast-block equation for blocks of size
-    <= 2, via sign choices among the Hamiltonian eigenvalue pairs."""
-    n2 = a22.shape[0]
-    bbt = b2 @ b2.T
-    q = c2.T @ c2
-    ham = np.block([[a22, -bbt], [-q, -a22.T]])
-    _, eigvecs = np.linalg.eig(ham)
-    cands = []
-    from itertools import combinations
-    for pick in combinations(range(2 * n2), n2):
-        basis = eigvecs[:, list(pick)]
-        x11 = basis[:n2, :]
-        x21 = basis[n2:, :]
-        if smallest_singular_value(x11) <= 1e-10 * max(
-                1.0, np.linalg.norm(x11, 2)):
-            continue
-        p = np.real(x21 @ np.linalg.inv(x11))
-        if np.linalg.norm(p - p.T, "fro") > 1e-6 * (1.0 + np.linalg.norm(p, "fro")):
-            continue
-        p = sym(p)
-        resid = np.linalg.norm(
-            a22.T @ p + p @ a22 - p @ bbt @ p + q, "fro")
-        if resid > 1e-6 * (1.0 + np.linalg.norm(p, "fro")):
-            continue
-        if all(np.linalg.norm(p - c, "fro") > 1e-8 * (1.0 + np.linalg.norm(p, "fro"))
-               for c in cands):
-            cands.append(p)
-    return cands
-
-
 def solve_fast_block(a22, b2, c2):
     """Constant fast-block solution P2 of
-    A22* P2 + P2* A22 - P2* B2 B2* P2 + C2* C2 = 0 with K2 invertible.
+    A22* P2 + P2* A22 - P2* B2 B2* P2 + C2* C2 = 0 with K2 = A22* - P2* B2 B2*
+    invertible.
 
-    Prefers the stabilizing branch.  In the A22 = -I normal form the
-    definiteness of the underlying cost requires the largest singular value
-    of C2 B2 to stay below one; violations are reported as such.
+    One Schur ARE solve per branch: the stabilizing solution
+    ``solve_are_q(A22, B2 B2*, C2* C2)`` and, if that refuses or leaves K2
+    singular, the anti-stabilizing one -``solve_are_q(-A22, B2 B2*, C2* C2)``.
+    Where both refuse, the block is refused as ``fast-block`` with both
+    reasons.  The branch changes the P21 and P2 blocks of ``P_plus``,
+    ``K2``, ``A_plus`` and ``B_bar`` up to an orthogonal factor (``B_bar
+    B_bar*`` stays); P1, Abar, Cbar, Wbar, the steady state and every
+    trajectory do not depend on it.
     """
     a22 = np.asarray(a22, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    n2 = a22.shape[0]
-    if n2 == 0:
-        return np.zeros((0, 0))
-
-    normal_form = np.allclose(a22, -np.eye(n2), atol=1e-12)
-    if normal_form and b2.size and c2.size:
-        sv = np.linalg.svd(c2 @ b2, compute_uv=False)
-        if sv.size and sv[0] > 1.0 + 1e-12:
-            raise AssumptionViolation(
-                "definiteness",
-                f"largest singular value of C2 B2 is {sv[0]:.6g} > 1; the "
-                "fast-block cost is indefinite")
-
-    if not b2.size or not np.any(b2):
-        # Lyapunov-type equation A22* P2 + P2 A22 + C2* C2 = 0
+    bbt, q = b2 @ b2.T, c2.T @ c2
+    reasons = []
+    for sign, branch in ((1.0, "stabilizing"), (-1.0, "anti-stabilizing")):
         try:
-            p2 = solve_lyapunov(a22.T, c2.T @ c2)
+            p2 = sign * solve_are_q(sign * a22, bbt, q)
+            _require_k2(a22, b2, p2)
+            return p2
         except (AssumptionViolation, NumericalError) as exc:
-            raise AssumptionViolation(
-                "fast-block", f"fast-block Lyapunov equation unsolvable: {exc}"
-            ) from exc
-        _require_k2(a22, b2, p2)
-        return p2
-
-    try:
-        p2 = solve_are_q(a22, b2 @ b2.T, c2.T @ c2)
-        _require_k2(a22, b2, p2)
-        return p2
-    except (AssumptionViolation, NumericalError):
-        pass
-
-    if n2 > 2:
-        raise AssumptionViolation(
-            "fast-block",
-            "no stabilizing fast-block solution and the block is too large "
-            "for branch enumeration")
-    for cand in _enumerate_fast_candidates(a22, b2, c2):
-        try:
-            _require_k2(a22, b2, cand)
-            return cand
-        except AssumptionViolation:
-            continue
+            reasons.append(f"{branch}: {exc}")
     raise AssumptionViolation(
-        "fast-block", "no symmetric fast-block solution with invertible K2")
+        "fast-block", "no fast-block solution with invertible K2 ("
+        + "; ".join(reasons) + ")")
 
 
 def _require_k2(a22, b2, p2):

@@ -158,6 +158,18 @@ class TestCommands:
         header = (tmp_path / "dae_trajectory.csv").read_text().splitlines()[0]
         assert header == "t,x_1,x_2,u_1,y_1"
 
+    def test_simulate_csv_round_trips(self, tmp_path, capsys):
+        # 17 significant digits read back to the very same doubles
+        path = _write(tmp_path, "dae.json", DAE_SCENARIO)
+        assert main(["simulate", str(path), "--grid", "33"]) == 0
+        rows = np.loadtxt(tmp_path / "dae_trajectory.csv", delimiter=",",
+                          skiprows=1)
+        sc = load_scenario(path)
+        traj = lt.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1,
+                                     33)
+        assert np.array_equal(
+            rows, np.column_stack([traj.grid, traj.x, traj.u, traj.y]))
+
     def test_turnpike_csv(self, tmp_path, capsys):
         path = _write(tmp_path, "dae.json", DAE_SCENARIO)
         assert main(["turnpike", str(path)]) == 0

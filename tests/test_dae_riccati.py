@@ -1,11 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import lqturnpike as lt
-from lqturnpike.dae_riccati import (_enumerate_fast_candidates, gare_residual,
-                                    gdre_fd_residual)
+from lqturnpike.dae_riccati import gare_residual, gdre_fd_residual
 from lqturnpike.errors import AssumptionViolation
-from lqturnpike.linalg import PSD_SLACK
+from lqturnpike.linalg import PSD_SLACK, RESIDUAL_TOL, solve_are_q
 
 from conftest import SQRT2, integrate
 
@@ -23,20 +24,33 @@ class TestFastBlock:
         p2 = lt.solve_fast_block([[-1.0]], [[1.0]], [[0.0]])
         assert p2[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_branch_enumeration(self):
-        cands = _enumerate_fast_candidates(
-            np.array([[-1.0]]), np.array([[1.0]]), np.array([[0.0]]))
-        vals = sorted(c[0, 0] for c in cands)
-        assert np.allclose(vals, [-2.0, 0.0], atol=1e-9)
+    def test_anti_stabilizing_branch(self):
+        # A22 = 1 with no control on the fast block has no stabilizing
+        # solution; the anti-stabilizing one solves 2 P2 + 1 = 0
+        p2 = lt.solve_fast_block([[1.0]], [[0.0]], [[1.0]])[0, 0]
+        assert abs(2.0 * p2 + 1.0) <= RESIDUAL_TOL * (1.0 + abs(p2))
+        assert p2 == pytest.approx(-0.5, abs=1e-12)
 
     def test_lyapunov_type(self):
         p2 = lt.solve_fast_block([[-1.0]], [[0.0]], [[1.0]])
         assert p2[0, 0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_definiteness_failure(self):
-        with pytest.raises(AssumptionViolation) as err:
-            lt.solve_fast_block([[-1.0]], [[2.0]], [[1.0]])
-        assert err.value.assumption == "definiteness"
+    def test_gain_beyond_one(self):
+        # |C2 B2| = 2 > 1 in the A22 = -I normal form: the fast-block
+        # equation 4 P2^2 + 2 P2 - 1 = 0 has the stabilizing root
+        # (sqrt 5 - 1)/4, and the plant built on it matches the oracle
+        p2 = lt.solve_fast_block([[-1.0]], [[2.0]], [[1.0]])
+        assert p2[0, 0] == pytest.approx((np.sqrt(5.0) - 1.0) / 4.0, abs=1e-12)
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[-1.0, 0.5], [0.3, -1.0]]),
+            B=np.array([[1.0], [2.0]]), C=np.array([[1.0, 1.0]]),
+            F=np.array([[1.0, 0.0]]))
+        x0, y_c, y_e, t1, steps = [1.0, 0.0], [1.0], [0.0], 5.0, 500
+        sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, t1, steps)
+        ric = lt.optimal_trajectory(plant, x0, y_c, y_e, t1, grid=steps + 1)
+        assert max(np.abs(ric.x - sol.x).max(),
+                   np.abs(ric.u - sol.u).max()) <= 1e-3
+        assert abs(sol.cost - ric.cost) / (1.0 + abs(ric.cost)) <= 1e-3
 
     def test_no_valid_k2(self):
         # A22 = 0 with no control on the fast block leaves K2 singular
@@ -48,6 +62,113 @@ class TestFastBlock:
                                    np.zeros((1, 0))).shape == (0, 0)
 
 
+def _descriptor(a, b, c, f, d):
+    e = np.zeros_like(a)
+    e[:d, :d] = np.eye(d)
+    return lt.DescriptorPlant(E=e, A=a, B=b, C=c, F=f)
+
+
+def _relative_gap(got, expect):
+    got, expect = np.asarray(got), np.asarray(expect)
+    return np.abs(got - expect).max() / max(1.0, np.abs(expect).max())
+
+
+class TestFastBlockBranch:
+    def test_zero_input_anti_stable_fast_mode(self):
+        # A22 = 1 > 0 and B = 0: x2 = -0.3 x1 and x1dot = -1.15 x1
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[-1.0, 0.5], [0.3, 1.0]]),
+            B=np.zeros((2, 1)), C=np.array([[1.0, 1.0]]),
+            F=np.array([[1.0, 0.0]]))
+        traj = lt.optimal_trajectory(plant, [1.0, 0.0], [0.0], [0.0], 5.0)
+        x1 = np.exp(-1.15 * traj.grid)
+        assert np.abs(traj.x[:, 0] / x1 - 1.0).max() <= 1e-12
+        assert np.all(np.abs(traj.x[:, 1] + 0.3 * traj.x[:, 0]) <= 1e-12 * x1)
+        assert not np.any(traj.u)
+
+    def test_branch_independence(self, monkeypatch):
+        # every quantity but the P21 and P2 blocks is the same on either
+        # branch of the fast-block equation
+        rng = np.random.default_rng(23)
+        d, n2, m, k = 2, 2, 2, 2
+        solved = 0
+        for _ in range(12):
+            a = rng.standard_normal((d + n2, d + n2))
+            b = rng.standard_normal((d + n2, m))
+            c = rng.standard_normal((k, d + n2))
+            f = np.hstack([rng.standard_normal((k, d)), np.zeros((k, n2))])
+            plant = _descriptor(a, b, c, f, d)
+            x0 = np.concatenate([rng.standard_normal(d), np.zeros(n2)])
+            y_c, y_e = rng.standard_normal(k), rng.standard_normal(k)
+            runs = []
+            for branch in (1.0, -1.0):
+                monkeypatch.setattr(
+                    "lqturnpike.dae_riccati.solve_fast_block",
+                    lambda a22, b2, c2, s=branch: s * solve_are_q(
+                        s * a22, b2 @ b2.T, c2.T @ c2))
+                try:
+                    gare = lt.solve_gare(plant)
+                except AssumptionViolation:
+                    break
+                traj = lt.optimal_trajectory(plant, x0, y_c, y_e, 4.0, 41)
+                steady = lt.steady_state(plant, gare, y_c)
+                runs.append((gare, [
+                    gare.P1, gare.A_bar, gare.B_bar @ gare.B_bar.T,
+                    gare.C_bar, lt.gramians(gare, gare.B_bar).W,
+                    steady.x_s, steady.u_s, traj.x, traj.u]))
+            if len(runs) < 2:
+                continue
+            solved += 1
+            (stab, first), (anti, second) = runs
+            assert np.abs(stab.P2 - anti.P2).max() > 1e-3
+            for got, expect in zip(second, first):
+                assert _relative_gap(got, expect) <= 1e-10
+        assert solved >= 6
+
+    def test_zero_input_fast_block_family(self):
+        # seed 5, 60 random B2 = 0 descriptor plants, about 0.2 s: a fast
+        # block with a one-signed spectrum is solved on one branch and
+        # matches the standard plant left after eliminating
+        # x2 = -A22^{-1} A21 x1; a mixed spectrum is refused by name.  Draws
+        # with a fast eigenvalue within 0.1 of the imaginary axis are left
+        # out: their eliminated plant is stiff (reduced weights up to 1e6),
+        # and the sweep's step count, which grows with ||H||_1, takes tens
+        # of seconds over t1 = 3
+        rng = np.random.default_rng(5)
+        counts = {"hurwitz": 0, "anti-hurwitz": 0, "mixed": 0}
+        for _ in range(60):
+            d, n2 = rng.integers(1, 4, size=2)
+            m, k = rng.integers(1, 3, size=2)
+            n = d + n2
+            a = rng.standard_normal((n, n))
+            b = np.vstack([rng.standard_normal((d, m)), np.zeros((n2, m))])
+            c = rng.standard_normal((k, n))
+            f = np.hstack([rng.standard_normal((k, d)), np.zeros((k, n2))])
+            plant = _descriptor(a, b, c, f, d)
+            x0 = np.concatenate([rng.standard_normal(d), np.zeros(n2)])
+            y_c, y_e = rng.standard_normal(k), rng.standard_normal(k)
+            re = np.linalg.eigvals(a[d:, d:]).real
+            if np.min(np.abs(re)) < 0.1:
+                continue
+            if np.all(re < 0.0) or np.all(re > 0.0):
+                counts["hurwitz" if re[0] < 0.0 else "anti-hurwitz"] += 1
+                slave = -np.linalg.solve(a[d:, d:], a[d:, :d])
+                std = lt.LtiPlant(A=a[:d, :d] + a[:d, d:] @ slave,
+                                  B=b[:d], C=c[:, :d] + c[:, d:] @ slave,
+                                  F=f[:, :d])
+                got = lt.optimal_trajectory(plant, x0, y_c, y_e, 3.0, 51)
+                ref = lt.optimal_trajectory(std, x0[:d], y_c, y_e, 3.0, 51)
+                assert _relative_gap(got.x[:, :d], ref.x) <= 1e-10
+                assert _relative_gap(got.x[:, d:], ref.x @ slave.T) <= 1e-10
+                assert _relative_gap(got.u, ref.u) <= 1e-10
+            else:
+                counts["mixed"] += 1
+                with pytest.raises(AssumptionViolation) as err:
+                    lt.optimal_trajectory(plant, x0, y_c, y_e, 3.0, 51)
+                assert err.value.assumption == "fast-block"
+        assert min(counts.values()) >= 5, counts
+
+
 class TestReducedCoefficients:
     def test_reference_values(self, gare_ref):
         red = gare_ref.reduced
@@ -56,15 +177,17 @@ class TestReducedCoefficients:
         assert red.Q_t[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_normal_form_psd(self):
-        # impulse-free normal form with contraction |C2 B2| <= 1 keeps the
-        # reduced state weight positive semidefinite
+        # in the impulse-free normal form A22 = -I, A21 = 0 the fast state is
+        # x2 = B2 u, so the running cost |C1 x1 + C2 B2 u|^2 + |u|^2 is a
+        # semidefinite form whatever the gain |C2 B2|, and so is the reduced
+        # state weight C1* (I + C2 B2 B2* C2*)^{-1} C1
         rng = np.random.default_rng(41)
-        for _ in range(8):
+        for gain, _ in itertools.product((0.95, 2.0, 5.0), range(8)):
             d, n2, m, k = 2, 2, 2, 2
             b2 = rng.standard_normal((n2, m))
             c2 = rng.standard_normal((k, n2))
             sv = np.linalg.svd(c2 @ b2, compute_uv=False)[0]
-            c2 *= 0.95 / max(sv, 1e-9)
+            c2 *= gain / max(sv, 1e-9)
             part = lt.SemiExplicitPartition(
                 d=d, A11=rng.standard_normal((d, d)),
                 A12=rng.standard_normal((d, n2)),
