@@ -9,8 +9,8 @@ set of solvers serves both kinds.  The former names ``stabilizing_solution``,
 importable, outside ``__all__``.
 
 The numerical policy is fixed (``linalg.RESIDUAL_TOL``, ``linalg.PSD_SLACK``,
-``linalg.rank_cut`` and one seed for the regularity probe), so no function
-takes a tolerance or a seed.
+``linalg.rank_cut``, ``linalg.EIG_RANK_CUT`` and the fixed shifts of the
+regularity probe), so no function takes a tolerance or a seed.
 """
 
 from .errors import (AssumptionViolation, DimensionError, NumericalError,
@@ -19,9 +19,8 @@ from .linalg import (expm, min_eig_sym, rank_svd, solve_are_stabilizing,
                      solve_lyapunov, spectral_abscissa)
 from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      StructuralReport, check_F_compatible,
-                     check_finite_dynamics_stable, check_impulse_controllable,
-                     check_impulse_free, check_pencil_regular,
-                     structural_report)
+                     check_impulse_controllable, check_impulse_free,
+                     check_pencil_regular, structural_report)
 from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
                           StructuredDelta, check_convergence_condition,
                           gramians, reduced_coefficients, solve_fast_block,
@@ -43,8 +42,8 @@ __all__ = [
     "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
     "ToolkitError", "TurnpikeReport",
     "check_convergence_condition", "check_F_compatible",
-    "check_finite_dynamics_stable", "check_impulse_controllable",
-    "check_impulse_free", "check_pencil_regular", "decompose_state",
+    "check_impulse_controllable", "check_impulse_free",
+    "check_pencil_regular", "decompose_state",
     "expm", "feedforward", "gramians", "min_eig_sym", "optimal_trajectory",
     "rank_svd", "reduced_coefficients",
     "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",

@@ -7,12 +7,14 @@ coupling block P21, and a reduced standard Riccati equation in the
 differential block P1.  P2 is the stabilizing solution of the fast-block
 equation, or the anti-stabilizing one where the stabilizing one does not
 exist or leaves K2 singular (one Schur ARE solve on A22, then on -A22).
-The branch changes the P21 and P2 blocks of P+, K2, A+ and Bbar up to an
-orthogonal factor (Bbar Bbar* stays); P1, Abar, Cbar, Wbar, the steady
-state and every trajectory do not depend on it.  For a standard plant the
-fast block is empty, the reduced coefficients are (A, BB*, C*C) and P = P1.
-The difference P(t) - P+ has second block column zero and is given in
-closed form through the reduced closed loop (Abar, Bbar).
+Where B2 = 0 the fast-block equation is linear and P2 is its unique
+solution (one Bartels-Stewart solve).  The branch changes the P21 and P2
+blocks of P+, K2, A+ and Bbar up to an orthogonal factor (Bbar Bbar*
+stays); P1, Abar, Cbar, Wbar, the steady state and every trajectory do not
+depend on it.  For a standard plant the fast block is empty, the reduced
+coefficients are (A, BB*, C*C) and P = P1.  The difference P(t) - P+ has
+second block column zero and is given in closed form through the reduced
+closed loop (Abar, Bbar).
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,9 @@ import numpy as np
 
 from .errors import AssumptionViolation, NumericalError, SingularBracketError
 from .integrate import sweep
-from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, expm, is_singular,
-                     solve_are_q, solve_lyapunov, spectral_abscissa, sym)
+from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, bartels_stewart, expm,
+                     is_singular, rank_cut, solve_are_q, solve_lyapunov,
+                     spectral_abscissa, sym)
 from .plants import (check_F_compatible, check_impulse_controllable,
                      check_pencil_regular)
 
@@ -211,7 +214,10 @@ def solve_fast_block(a22, b2, c2):
     A22* P2 + P2* A22 - P2* B2 B2* P2 + C2* C2 = 0 with K2 = A22* - P2* B2 B2*
     invertible.
 
-    One Schur ARE solve per branch: the stabilizing solution
+    Where B2 = 0 the equation is the linear A22* P2 + P2 A22 + C2* C2 = 0
+    with K2 = A22*: one Bartels-Stewart solve, refused as ``fast-block``
+    beforehand where A22 is singular or two of its eigenvalues sum to zero.
+    Otherwise one Schur ARE solve per branch: the stabilizing solution
     ``solve_are_q(A22, B2 B2*, C2* C2)`` and, if that refuses or leaves K2
     singular, the anti-stabilizing one -``solve_are_q(-A22, B2 B2*, C2* C2)``.
     Where both refuse, the block is refused as ``fast-block`` with both
@@ -224,6 +230,8 @@ def solve_fast_block(a22, b2, c2):
     b2 = np.asarray(b2, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     bbt, q = b2 @ b2.T, c2.T @ c2
+    if a22.size and not np.any(b2):
+        return _zero_input_fast_block(a22, q)
     reasons = []
     for sign, branch in ((1.0, "stabilizing"), (-1.0, "anti-stabilizing")):
         try:
@@ -235,6 +243,20 @@ def solve_fast_block(a22, b2, c2):
     raise AssumptionViolation(
         "fast-block", "no fast-block solution with invertible K2 ("
         + "; ".join(reasons) + ")")
+
+
+def _zero_input_fast_block(a22, q):
+    if is_singular(a22):
+        raise AssumptionViolation(
+            "fast-block", "B2 = 0 and A22 is singular, so K2 = A22* is too")
+    lam = np.linalg.eigvals(a22)
+    gap = np.min(np.abs(lam[:, None] + lam[None, :]))
+    if gap <= rank_cut(a22.shape) * max(1.0, np.linalg.norm(a22)):
+        raise AssumptionViolation(
+            "fast-block", "B2 = 0 and two eigenvalues of A22 sum to "
+            f"{gap:.1e}, so A22* P2 + P2 A22 + C2* C2 = 0 has no unique "
+            "solution")
+    return bartels_stewart(a22.T, q)
 
 
 def _require_k2(a22, b2, p2):

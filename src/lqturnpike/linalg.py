@@ -11,7 +11,9 @@ closed loop) before returning.
 The numerical policy is fixed: Lyapunov and Riccati residuals are bounded
 by ``RESIDUAL_TOL``, a reduced state weight may fall ``PSD_SLACK`` below
 semidefinite, and ``rank_svd`` and ``is_singular`` cut singular values at
-``rank_cut(shape)`` relative to the largest one.
+``rank_cut(shape)`` relative to the largest one.  A rank decided at a
+computed eigenvalue, which is accurate to about sqrt(eps) relative, cuts at
+``EIG_RANK_CUT`` instead.
 """
 
 import numpy as np
@@ -22,6 +24,8 @@ from .errors import AssumptionViolation, DimensionError, NumericalError
 EPS = float(np.finfo(np.float64).eps)
 RESIDUAL_TOL = 1e-8  # residual bound, relative to 1 + ||solution||_F
 PSD_SLACK = 1e-9     # semidefiniteness slack, relative to max(1, ||.||_2)
+EIG_RANK_CUT = float(np.sqrt(EPS))  # rank cut at a computed eigenvalue,
+                                    # relative to max(1, ||.||_2)
 
 
 def rank_cut(shape):
@@ -114,13 +118,6 @@ def rank_svd(m):
     return int(np.sum(sv > rank_cut(a.shape) * sv[0]))
 
 
-def smallest_singular_value(m):
-    a = np.asarray(m)
-    if a.size == 0:
-        return np.inf
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
 def solve_lyapunov(a_stable, q_sym):
     """Solve ``A X + X A* + Q = 0`` for symmetric X by the Bartels-Stewart
     method (real Schur form of A, then a quasi-triangular Sylvester solve;
@@ -140,6 +137,13 @@ def solve_lyapunov(a_stable, q_sym):
     if spectral_abscissa(a) >= 0.0:
         raise AssumptionViolation(
             "stability", "Lyapunov solve requires a Hurwitz coefficient matrix")
+    return bartels_stewart(a, q)
+
+
+def bartels_stewart(a, q):
+    """Symmetric X with ``A X + X A* + Q = 0`` by scipy's Bartels-Stewart
+    solve, its residual checked; the caller makes sure that no two
+    eigenvalues of A sum to zero.  Q is symmetrized on input."""
     q = sym(q)
     try:
         x = sym(sla.solve_continuous_lyapunov(a, -q))

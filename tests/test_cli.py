@@ -134,6 +134,31 @@ class TestCommands:
         assert "regular: True" in out
         assert "impulse_controllable: True" in out
 
+    def test_check_unstable_zero_input(self, tmp_path, capsys):
+        # the mode at 1.43 has no input: not stabilizable
+        data = dict(ODE_SCENARIO, A=[[1.2, 1.3, -1.3], [0.5, -1.2, -1.0],
+                                     [0.0, 0.1, -0.1]],
+                    B=[[0.0], [0.0], [0.0]], C=[[1.0, 0.0, 0.0]],
+                    F=[[1.0, 0.0, 0.0]], x0=[1.0, 0.0, 0.0])
+        path = _write(tmp_path, "unstable.json", data)
+        assert main(["check", str(path)]) == 0
+        assert "finite_dynamics_stable: False" in capsys.readouterr().out
+
+    def test_simulate_mixed_zero_input_fast_block(self, tmp_path, capsys):
+        # B2 = 0 and A22 = diag(1, -2): the cost is the eliminated plant's
+        data = dict(DAE_SCENARIO, E=np.diag([1.0, 0.0, 0.0]).tolist(),
+                    A=[[-1.0, 0.5, 0.2], [0.3, 1.0, 0.0], [0.1, 0.0, -2.0]],
+                    B=[[1.0], [0.0], [0.0]], C=[[1.0, 1.0, 1.0]],
+                    F=[[1.0, 0.0, 0.0]], x0=[1.0, 0.0, 0.0])
+        path = _write(tmp_path, "mixed.json", data)
+        assert main(["simulate", str(path)]) == 0
+        cost = float(capsys.readouterr().out.split("cost:")[1].split()[0])
+        # x2 = -0.3 x1 and x3 = 0.05 x1
+        std = lt.LtiPlant(A=[[-1.14]], B=[[1.0]], C=[[0.75]], F=[[1.0]])
+        ref = lt.optimal_trajectory(std, [1.0], data["y_c"], data["y_e"],
+                                    data["t1"])
+        assert cost == pytest.approx(ref.cost, rel=1e-10)
+
     def test_are_report(self, tmp_path, capsys):
         path = _write(tmp_path, "ode.json", ODE_SCENARIO)
         assert main(["are", str(path)]) == 0

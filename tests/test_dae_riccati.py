@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -126,14 +127,14 @@ class TestFastBlockBranch:
         assert solved >= 6
 
     def test_zero_input_fast_block_family(self):
-        # seed 5, 60 random B2 = 0 descriptor plants, about 0.2 s: a fast
-        # block with a one-signed spectrum is solved on one branch and
-        # matches the standard plant left after eliminating
-        # x2 = -A22^{-1} A21 x1; a mixed spectrum is refused by name.  Draws
-        # with a fast eigenvalue within 0.1 of the imaginary axis are left
-        # out: their eliminated plant is stiff (reduced weights up to 1e6),
-        # and the sweep's step count, which grows with ||H||_1, takes tens
-        # of seconds over t1 = 3
+        # seed 5, 60 random B2 = 0 descriptor plants, about 0.5 s: whatever
+        # the signs of its spectrum, the fast block is solved (one-signed on
+        # one branch, mixed by one Bartels-Stewart solve) and matches the
+        # standard plant left after eliminating x2 = -A22^{-1} A21 x1.
+        # Draws with a fast eigenvalue within 0.1 of the imaginary axis are
+        # left out: their eliminated plant is stiff (reduced weights up to
+        # 1e6), and the sweep's step count, which grows with ||H||_1, takes
+        # tens of seconds over t1 = 3
         rng = np.random.default_rng(5)
         counts = {"hurwitz": 0, "anti-hurwitz": 0, "mixed": 0}
         for _ in range(60):
@@ -150,23 +151,47 @@ class TestFastBlockBranch:
             re = np.linalg.eigvals(a[d:, d:]).real
             if np.min(np.abs(re)) < 0.1:
                 continue
-            if np.all(re < 0.0) or np.all(re > 0.0):
-                counts["hurwitz" if re[0] < 0.0 else "anti-hurwitz"] += 1
-                slave = -np.linalg.solve(a[d:, d:], a[d:, :d])
-                std = lt.LtiPlant(A=a[:d, :d] + a[:d, d:] @ slave,
-                                  B=b[:d], C=c[:, :d] + c[:, d:] @ slave,
-                                  F=f[:, :d])
-                got = lt.optimal_trajectory(plant, x0, y_c, y_e, 3.0, 51)
-                ref = lt.optimal_trajectory(std, x0[:d], y_c, y_e, 3.0, 51)
-                assert _relative_gap(got.x[:, :d], ref.x) <= 1e-10
-                assert _relative_gap(got.x[:, d:], ref.x @ slave.T) <= 1e-10
-                assert _relative_gap(got.u, ref.u) <= 1e-10
-            else:
-                counts["mixed"] += 1
-                with pytest.raises(AssumptionViolation) as err:
-                    lt.optimal_trajectory(plant, x0, y_c, y_e, 3.0, 51)
-                assert err.value.assumption == "fast-block"
+            counts["hurwitz" if np.all(re < 0.0) else
+                   "anti-hurwitz" if np.all(re > 0.0) else "mixed"] += 1
+            slave = -np.linalg.solve(a[d:, d:], a[d:, :d])
+            std = lt.LtiPlant(A=a[:d, :d] + a[:d, d:] @ slave,
+                              B=b[:d], C=c[:, :d] + c[:, d:] @ slave,
+                              F=f[:, :d])
+            got = lt.optimal_trajectory(plant, x0, y_c, y_e, 3.0, 51)
+            ref = lt.optimal_trajectory(std, x0[:d], y_c, y_e, 3.0, 51)
+            assert _relative_gap(got.x[:, :d], ref.x) <= 1e-10
+            assert _relative_gap(got.x[:, d:], ref.x @ slave.T) <= 1e-10
+            assert _relative_gap(got.u, ref.u) <= 1e-10
         assert min(counts.values()) >= 5, counts
+
+    def test_mixed_zero_input_against_oracle(self):
+        # A22 = diag(1, -2) with B2 = 0: neither branch of the Riccati form
+        # exists, and the linear solve matches the oracle, under 0.1 s
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0, 0.0]),
+            A=np.array([[-1.0, 0.5, 0.2], [0.3, 1.0, 0.0], [0.1, 0.0, -2.0]]),
+            B=np.array([[1.0], [0.0], [0.0]]), C=np.array([[1.0, 1.0, 1.0]]),
+            F=np.array([[1.0, 0.0, 0.0]]))
+        x0, y_c, y_e, t1, steps = [1.0, 0.0, 0.0], [1.0], [0.0], 5.0, 500
+        sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, t1, steps)
+        ric = lt.optimal_trajectory(plant, x0, y_c, y_e, t1, grid=steps + 1)
+        assert max(np.abs(ric.x - sol.x).max(),
+                   np.abs(ric.u - sol.u).max()) <= 1e-3
+        assert abs(sol.cost - ric.cost) / (1.0 + abs(ric.cost)) <= 1e-3
+
+    @pytest.mark.parametrize("a22", [[[0.0]], [[1.0, 0.0], [0.0, -1.0]],
+                                     [[0.0, 1.0], [-1.0, 0.0]]],
+                             ids=["singular", "opposite_pair", "imaginary_pair"])
+    def test_zero_input_refused_before_solve(self, a22):
+        # with B2 = 0 the linear fast-block equation has no unique solution
+        # (or K2 = A22* is singular); it is refused by name, and scipy's
+        # Bartels-Stewart solve, which would warn and perturb, is not run
+        n2 = len(a22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssumptionViolation) as err:
+                lt.solve_fast_block(a22, np.zeros((n2, 1)), np.ones((1, n2)))
+        assert err.value.assumption == "fast-block"
 
 
 class TestReducedCoefficients:

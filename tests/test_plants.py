@@ -104,6 +104,39 @@ class TestPencilChecks:
                 assert lt.check_impulse_controllable(e, a, b)
         assert hits > 10
 
+    def test_agrees_with_block_definition(self):
+        # seed 17, 300 semi-explicit triples, about 0.2 s: the block tests
+        # rank [A22, B2] == n - d and rank A22 == n - d agree with the
+        # definition rank [[E, 0, 0], [A, E, B]] == n + rank E, on a family
+        # with singular A22, integer A, zero B2 and no input among them
+        rng = np.random.default_rng(17)
+        kinds = {"not_controllable": 0, "not_free": 0}
+        for _ in range(300):
+            d, n2 = rng.integers(0, 4), rng.integers(1, 4)
+            m = rng.integers(0, 3)
+            e, a, b = _random_semi_explicit(rng, d, n2, m)
+            if rng.random() < 0.3:
+                a = np.round(2.0 * a)
+            if rng.random() < 0.4:   # rank-deficient A22
+                a[d:, d] = a[d:, d + 1:] @ rng.integers(-1, 2, n2 - 1)
+            if rng.random() < 0.4:
+                b[d:] = 0.0
+            n = d + n2
+
+            def by_definition(bb):
+                block = np.block([[e, np.zeros((n, n + bb.shape[1]))],
+                                  [a, e, bb]])
+                return (np.linalg.matrix_rank(block)
+                        == n + np.linalg.matrix_rank(e))
+
+            controllable = by_definition(b)
+            free = by_definition(np.zeros((n, 0)))
+            assert lt.check_impulse_controllable(e, a, b) == controllable
+            assert lt.check_impulse_free(e, a) == free
+            kinds["not_controllable"] += not controllable
+            kinds["not_free"] += not free
+        assert min(kinds.values()) >= 30, kinds
+
     def test_block_permutation_invariance(self):
         rng = np.random.default_rng(12)
         e, a, b = _random_semi_explicit(rng, 2, 2, 2)
@@ -119,35 +152,6 @@ class TestPencilChecks:
                     == lt.check_impulse_controllable(e, ap, bp))
 
 
-class TestFiniteDynamics:
-    def test_closed_loop_reference(self):
-        part = lt.SemiExplicitPartition(
-            d=1, A11=np.array([[-np.sqrt(2.0)]]), A12=np.array([[0.0]]),
-            A21=np.array([[-1.0 - np.sqrt(2.0)]]), A22=np.array([[-1.0]]),
-            B1=np.array([[1.0]]), B2=np.array([[1.0]]),
-            C1=np.array([[1.0]]), C2=np.array([[0.0]]),
-            S1=np.array([[1.0]]), F1=np.array([[1.0]]))
-        assert lt.check_finite_dynamics_stable(part)
-
-    def test_unstable_slow_part(self):
-        part = lt.SemiExplicitPartition(
-            d=1, A11=np.array([[1.0]]), A12=np.array([[0.0]]),
-            A21=np.array([[0.0]]), A22=np.array([[-1.0]]),
-            B1=np.array([[1.0]]), B2=np.array([[0.0]]),
-            C1=np.array([[1.0]]), C2=np.array([[0.0]]),
-            S1=np.array([[0.0]]), F1=np.array([[0.0]]))
-        assert not lt.check_finite_dynamics_stable(part)
-
-    def test_full_differential_order(self):
-        part = lt.SemiExplicitPartition(
-            d=2, A11=-np.eye(2), A12=np.zeros((2, 0)),
-            A21=np.zeros((0, 2)), A22=np.zeros((0, 0)),
-            B1=np.ones((2, 1)), B2=np.zeros((0, 1)),
-            C1=np.eye(2), C2=np.zeros((2, 0)),
-            S1=np.zeros((2, 2)), F1=np.zeros((2, 2)))
-        assert lt.check_finite_dynamics_stable(part)
-
-
 class TestFCompatibility:
     def test_examples(self):
         e = np.diag([1.0, 0.0])
@@ -156,10 +160,53 @@ class TestFCompatibility:
         assert lt.check_F_compatible(e, np.zeros((1, 2)))
 
 
+def _zero_input(a):
+    n = a.shape[0]
+    return lt.LtiPlant(A=a, B=np.zeros((n, 1)), C=np.zeros((1, n)),
+                       F=np.zeros((1, n)))
+
+
 class TestStructuralReport:
     def test_reference_all_true(self, ref_dae):
         rep = lt.structural_report(ref_dae)
         assert rep.all_ok()
+
+    def test_zero_input_unstable_example(self):
+        # an eigenvalue at 1.43 that no control can move
+        a = np.array([[1.2, 1.3, -1.3], [0.5, -1.2, -1.0], [0.0, 0.1, -0.1]])
+        assert not lt.structural_report(_zero_input(a)).finite_dynamics_stable
+
+    def test_hautus_cut_margin(self):
+        # A has eigenvalues 1037 and 84.7 +- 149i, and B is orthogonal to
+        # the left eigenvector at 1037, so that mode alone is uncontrollable.
+        # At the computed 1037, sigma_min [lam I - A, B] is 1.3 times the
+        # machine cut eps * n * sigma_max: only the sqrt(eps) cut sees it
+        a = np.array([
+            [153.1751039131591, -746.7326878722035, -1.3589625728752384],
+            [168.22242753867454, 649.0864490621291, -597.9507651727126],
+            [-17.447412966505734, -575.5645372916177, 404.0970885398331]])
+        w, vl = np.linalg.eig(a.T)
+        v = vl[:, np.argmax(w.real)].real
+        b = np.ones((3, 1)) - np.outer(v, v.sum()) / (v @ v)
+        plant = lt.LtiPlant(A=a, B=b, C=np.zeros((1, 3)), F=np.zeros((1, 3)))
+        assert not lt.structural_report(plant).finite_dynamics_stable
+
+    def test_zero_input_unstable_family(self):
+        # seed 3, 1000 unstable zero-input 2x2 and 3x3 plants with
+        # one-decimal entries, under 1 s: an unstable mode with no input
+        # is never stabilizable.  Eigenvalues found through an inverted
+        # shifted pencil, with the machine cut, flagged 9% of them
+        # stabilizable
+        rng = np.random.default_rng(3)
+        unstable = 0
+        while unstable < 1000:
+            n = rng.integers(2, 4)
+            a = np.round(rng.uniform(-1.5, 1.5, (n, n)), 1)
+            if lt.spectral_abscissa(a) < 0.05:
+                continue
+            unstable += 1
+            rep = lt.structural_report(_zero_input(a))
+            assert not rep.finite_dynamics_stable, a
 
     def test_impulse_uncontrollable(self):
         plant = lt.DescriptorPlant(
