@@ -1,23 +1,25 @@
 """Independent brute-force verifier: direct transcription of the
 finite-horizon problems into an equality-constrained QP solved through one
-sparse KKT system.
+banded KKT system.
 
 Standard plants use implicit-midpoint dynamics (second order, controls at
 interval midpoints); descriptor plants use trapezoidal collocation on the
 differential rows with the algebraic rows pinned exactly at every node
 (controls at nodes).  Each scheme is assembled once as COO triplets by
-vectorised index arithmetic, and the KKT matrix is handed to a general
-sparse LU (SuperLU).  No control structure is exploited in the solve, which
-keeps this path entirely independent of the Riccati machinery it is used to
-check.
-
-``scipy.sparse`` is imported inside the functions that use it, so importing
-the package does not load it.
+vectorised index arithmetic.  Every KKT unknown carries a time-stage key;
+sorted by it (multipliers of x(0), then x_0, u_0 with the algebraic rows of
+node 0, the interval-0 multipliers, x_1, ...) the KKT matrix is banded with
+bandwidth about 2n + m (Rao, Wright and Rawlings, J. Optim. Theory Appl.
+99(3), 1998), and one general band LU with partial pivoting (LAPACK gbsv,
+``scipy.linalg.solve_banded``) solves it.  The permutation is the only
+structure used: there is no stage-wise elimination, which keeps this path
+entirely independent of the Riccati machinery it is used to check.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import NumericalError
 from .linalg import as_vector, rank_svd
@@ -34,7 +36,7 @@ class DiscretizedLQ:
     subject to G z = b.
 
     ``discretize`` returns dense H and G; the solver path keeps them as
-    scipy CSR arrays.
+    COO triplets ``(rows, cols, vals)``, summed where they repeat.
     """
 
     N: int
@@ -60,6 +62,7 @@ class OracleSolution:
     kkt_residual: float
     kkt_dim: int           # size of the square KKT matrix
     kkt_nnz: int           # its stored nonzeros
+    kkt_bandwidth: tuple[int, int]   # (kl, ku) of the stage-ordered band
     # descriptor plants: largest change the boundary extrapolation made to
     # the raw QP controls at nodes 0 and N (None for standard plants)
     boundary_u_shift: float | None
@@ -68,8 +71,10 @@ class OracleSolution:
 def discretize(plant, x0, y_c, y_e, t1, N):
     """Build the QP for one scenario with dense H and G.  See the module
     docstring for the schemes."""
-    disc = _assemble(plant, x0, y_c, y_e, t1, N)
-    return replace(disc, H=disc.H.toarray(), G=disc.G.toarray())
+    disc, _ = _assemble(plant, x0, y_c, y_e, t1, N)
+    nz = disc.f.size
+    return replace(disc, H=_dense(disc.H, (nz, nz)),
+                   G=_dense(disc.G, (disc.b.size, nz)))
 
 
 def _trapezoid_weights(N, h):
@@ -88,18 +93,26 @@ def _tile(block, rows, cols, scale=1.0):
     return (rows + r).ravel(), (cols + c).ravel(), vals.ravel()
 
 
-def _csr(parts, shape):
-    """Sum the COO triplets ``parts`` into a CSR array without stored zeros."""
-    from scipy.sparse import coo_array
+def _triplets(parts):
+    """One ``(rows, cols, vals)`` triplet from the list ``parts``."""
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    mat = coo_array((vals, (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()
-    return mat
+
+def _scatter(index, vals, shape):
+    """A zero array of ``shape`` with ``vals`` summed in at the flat
+    ``index``."""
+    size = int(np.prod(shape))
+    return np.bincount(index, weights=vals, minlength=size).reshape(shape)
+
+
+def _dense(trip, shape):
+    rows, cols, vals = trip
+    return _scatter(rows * shape[1] + cols, vals, shape)
 
 
 def _assemble(plant, x0, y_c, y_e, t1, N):
-    """The QP of ``discretize`` with H and G as sparse CSR arrays."""
+    """The QP of ``discretize`` with H and G as COO triplets, and the stage
+    key of every KKT unknown: z, then the multipliers."""
     if N < _MIN_STEPS:
         raise ValueError(f"N must be at least {_MIN_STEPS}")
     x0 = as_vector(x0, "x0")
@@ -110,10 +123,10 @@ def _assemble(plant, x0, y_c, y_e, t1, N):
     # an LtiPlant is also a DescriptorPlant (E = I), so it is tested first
     if isinstance(plant, LtiPlant):
         kind, d, wu = "ode", 0, np.full(N, h)     # controls at midpoints
-        g_parts, b = _ode_constraints(plant, x0, N, h)
+        g_parts, b, g_stage = _ode_constraints(plant, x0, N, h)
     elif isinstance(plant, DescriptorPlant):
         kind, d, wu = "dae", plant.d, wq          # controls at the nodes
-        g_parts, b = _dae_constraints(plant, x0, N, h)
+        g_parts, b, g_stage = _dae_constraints(plant, x0, N, h)
     else:
         raise TypeError(f"unsupported plant type {type(plant).__name__}")
 
@@ -121,16 +134,19 @@ def _assemble(plant, x0, y_c, y_e, t1, N):
     nz = nx + m * wu.size
     nodes = n * np.arange(N + 1)
     controls = nx + m * np.arange(wu.size)
-    H = _csr([_tile(plant.C.T @ plant.C, nodes, nodes, wq),
-              _tile(plant.F.T @ plant.F, [N * n], [N * n]),
-              _tile(np.eye(m), controls, controls, wu)], (nz, nz))
+    H = _triplets([_tile(plant.C.T @ plant.C, nodes, nodes, wq),
+                   _tile(plant.F.T @ plant.F, [N * n], [N * n]),
+                   _tile(np.eye(m), controls, controls, wu)])
     f = np.zeros(nz)
     f[:nx] = np.multiply.outer(wq, plant.C.T @ y_c).ravel()
     f[N * n:nx] += plant.F.T @ y_e
     const = 0.5 * float(np.sum(wq)) * float(y_c @ y_c) + 0.5 * float(y_e @ y_e)
-    G = _csr(g_parts, (b.size, nz))
-    return DiscretizedLQ(N=N, h=h, H=H, G=G, f=f, b=b, const=const,
-                         n=n, m=m, kind=kind, d=d)
+    # x_k at stage 3k + 1, u_k at 3k + 2, interval-k multipliers at 3k + 3
+    stage = np.concatenate([np.repeat(3 * np.arange(N + 1) + 1, n),
+                            np.repeat(3 * np.arange(wu.size) + 2, m), g_stage])
+    disc = DiscretizedLQ(N=N, h=h, H=H, G=_triplets(g_parts), f=f, b=b,
+                         const=const, n=n, m=m, kind=kind, d=d)
+    return disc, stage
 
 
 def _ode_constraints(plant, x0, N, h):
@@ -148,7 +164,7 @@ def _ode_constraints(plant, x0, N, h):
              _tile(-h * plant.B, rows, nx + m * j)]
     b = np.zeros(nx)
     b[:n] = x0
-    return parts, b
+    return parts, b, np.repeat(np.r_[0, 3 * j + 3], n)
 
 
 def _dae_constraints(plant, x0, N, h):
@@ -164,7 +180,7 @@ def _dae_constraints(plant, x0, N, h):
     are unknowns fixed by the node-0 algebraic rows.
 
     Rows: the d initial conditions, then d rows per interval, then n - d
-    algebraic rows per node.
+    algebraic rows per node (at the stage of that node's control).
     """
     n, m, d = plant.n, plant.m, plant.d
     nx = n * (N + 1)
@@ -184,32 +200,44 @@ def _dae_constraints(plant, x0, N, h):
              _tile(plant.B[d:, :], alg_rows, nx + m * k)]
     b = np.zeros(nx)
     b[:d] = x0[:d]
-    return parts, b
+    stage = np.concatenate([np.repeat(np.r_[0, 3 * j + 3], d),
+                            np.repeat(3 * k + 2, n - d)])
+    return parts, b, stage
 
 
 def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
-    """Discretize and solve the equality-constrained QP by one sparse LU of
-    its KKT matrix.
+    """Discretize and solve the equality-constrained QP by one band LU with
+    partial pivoting of its stage-ordered KKT matrix.
 
     Refused with ``NumericalError`` when the constraint rows are rank
     deficient (audited by SVD up to N = 200), when the LU meets an exactly
     singular pivot, or when the relative KKT residual is not below 1e-9.
     """
-    from scipy.sparse import bmat
-    from scipy.sparse.linalg import splu
-
-    disc = _assemble(plant, x0, y_c, y_e, t1, N)
-    if N <= _RANK_CHECK_MAX_N and rank_svd(disc.G.toarray()) < disc.G.shape[0]:
+    disc, stage = _assemble(plant, x0, y_c, y_e, t1, N)
+    nz, nc = disc.f.size, disc.b.size
+    if N <= _RANK_CHECK_MAX_N and rank_svd(_dense(disc.G, (nc, nz))) < nc:
         raise NumericalError("rank-deficient KKT system (structural "
                              "assumptions violated)")
-    nz = disc.H.shape[0]
-    kkt = bmat([[disc.H, disc.G.T], [disc.G, None]], format="csc")
+    (hr, hc, hv), (gr, gc, gv) = disc.H, disc.G
+    rows = np.concatenate([hr, gr + nz, gc])
+    cols = np.concatenate([hc, gc, gr + nz])
+    vals = np.concatenate([hv, gv, gv])
+    dim = nz + nc
     rhs = np.concatenate([disc.f, disc.b])
+    # one permutation of rows and columns: unknown order[j] goes to place j
+    order = np.argsort(stage, kind="stable")
+    pos = np.argsort(order)
+    pr, pc = pos[rows], pos[cols]
+    kl, ku = int(np.max(pr - pc)), int(np.max(pc - pr))
+    band = _scatter((ku + pr - pc) * dim + pc, vals, (kl + ku + 1, dim))
+    nnz = int(np.count_nonzero(band))
     try:
-        sol = splu(kkt).solve(rhs)
-    except RuntimeError as exc:   # SuperLU: "Factor is exactly singular"
+        sol = solve_banded((kl, ku), band, rhs[order], overwrite_ab=True,
+                           overwrite_b=True)[pos]
+    except np.linalg.LinAlgError as exc:   # gbsv: an exactly zero pivot
         raise NumericalError(f"rank-deficient KKT system: {exc}") from exc
-    resid = float(np.linalg.norm(kkt @ sol - rhs) / (1.0 + np.linalg.norm(rhs)))
+    kkt_sol = np.bincount(rows, weights=vals * sol[cols], minlength=dim)
+    resid = float(np.linalg.norm(kkt_sol - rhs) / (1.0 + np.linalg.norm(rhs)))
     if not resid <= _KKT_RESIDUAL_MAX:   # also refuses a NaN residual
         raise NumericalError(
             f"KKT residual {resid:.3e} exceeds {_KKT_RESIDUAL_MAX:.0e}")
@@ -245,8 +273,8 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
                 pass   # singular fast block: keep the raw QP values
     else:
         u_times = grid[:-1] + 0.5 * h
-    cost = 0.5 * float(z @ (disc.H @ z)) - float(disc.f @ z) + disc.const
+    cost = 0.5 * float(hv @ (z[hr] * z[hc])) - float(disc.f @ z) + disc.const
     return OracleSolution(grid=grid, x=xs, u=us, u_times=u_times,
-                          cost=float(cost), kkt_residual=resid,
-                          kkt_dim=int(kkt.shape[0]), kkt_nnz=int(kkt.nnz),
+                          cost=float(cost), kkt_residual=resid, kkt_dim=dim,
+                          kkt_nnz=nnz, kkt_bandwidth=(kl, ku),
                           boundary_u_shift=shift)

@@ -121,7 +121,7 @@ class TestCostMonotonicity:
 class TestSparsePath:
     def test_rank_deficiency_past_audit(self):
         # the plant of test_rank_deficiency_detected at an N the SVD rank
-        # audit skips: the sparse LU itself must refuse
+        # audit skips: the band LU itself must refuse (an exactly zero pivot)
         plant = lt.DescriptorPlant(
             E=np.diag([1.0, 0.0]), A=np.array([[0.0, 1.0], [1.0, 0.0]]),
             B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]), F=np.zeros((1, 2)))
@@ -170,6 +170,75 @@ class TestSparsePath:
                 "lt.solve_gdre(p, 2.0, 11); "
                 "print([m for m in ('scipy.sparse', 'scipy.integrate', "
                 "'scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
+def _random_plant(rng, descriptor):
+    """A random plant with n <= 5 and m <= 3 inputs; a descriptor one has
+    n - d <= 3 algebraic variables and at least one differential one."""
+    n = int(rng.integers(2 if descriptor else 1, 6))
+    m = int(rng.integers(1, 4))
+    k = int(rng.integers(1, 3))
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    b, c, f = (rng.standard_normal(shape) for shape in ((n, m), (k, n), (k, n)))
+    if not descriptor:
+        return lt.LtiPlant(A=a, B=b, C=c, F=f)
+    d = n - int(rng.integers(1, min(3, n - 1) + 1))
+    return lt.DescriptorPlant(E=np.diag([1.0] * d + [0.0] * (n - d)),
+                              A=a, B=b, C=c, F=f)
+
+
+class TestStageOrder:
+    def test_general_shapes_match_dense_kkt(self):
+        # the band LU of the stage-ordered KKT matrix against a dense solve
+        # of the same matrix on 12 random shapes, at N = 210, just past the
+        # rank audit.  Budget: about 3 s on one core, nearly all of it the
+        # dense solves of KKT matrices up to order 2,743
+        rng = np.random.default_rng(20)
+        N = 210
+        for trial in range(12):
+            plant = _random_plant(rng, descriptor=trial % 2 == 1)
+            x0 = rng.standard_normal(plant.n)
+            y_c, y_e = rng.standard_normal((2, plant.k))
+            disc = discretize(plant, x0, y_c, y_e, 2.0, N)
+            nz, nc = disc.H.shape[0], disc.G.shape[0]
+            kkt = np.block([[disc.H, disc.G.T],
+                            [disc.G, np.zeros((nc, nc))]])
+            z = np.linalg.solve(kkt, np.concatenate([disc.f, disc.b]))[:nz]
+            nx = plant.n * (N + 1)
+            x_ref = z[:nx].reshape(N + 1, plant.n)
+            u_ref = z[nx:].reshape(-1, plant.m)
+
+            sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, 2.0, N)
+            assert sol.kkt_dim == nz + nc
+            assert sol.kkt_nnz == np.count_nonzero(kkt)
+            assert max(sol.kkt_bandwidth) <= 2 * plant.n + plant.m
+            inner = slice(None) if disc.kind == "ode" else slice(1, -1)
+            for got, ref in ((sol.x, x_ref), (sol.u, u_ref)):
+                err = np.abs(got[inner] - ref[inner]).max()
+                assert err <= 1e-10 * np.abs(ref[inner]).max(), (trial, err)
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    def test_bandwidth_on_acceptance_plants(self, kind, abc_fperp, ref_dae):
+        # stage order keeps every coupling within one stage and its
+        # neighbour: at most 2n + m off the diagonal, whatever N
+        if kind == "ode":
+            plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
+        else:
+            plant, x0, y_c, y_e = ref_dae, [1.0, 0.0], [1.0], [0.0]
+        sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, 10.0, 2000)
+        kl, ku = sol.kkt_bandwidth
+        assert 0 < kl <= 2 * plant.n + plant.m
+        assert 0 < ku <= 2 * plant.n + plant.m
+
+    def test_solve_leaves_scipy_sparse_unloaded(self):
+        code = ("import sys, lqturnpike as lt; "
+                "p = lt.LtiPlant(A=[[2, 0], [0, -1]], B=[[1], [1]], "
+                "C=[[0, 1]], F=[[1, 0]]); "
+                "lt.transcribe_and_solve(p, [1, 1], [0], [1], 10.0, 200); "
+                "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
