@@ -4,9 +4,10 @@ descriptor (DAE) plants: Riccati solvers, the closed forms of
 maps), turnpike diagnostics, and a direct-transcription verification oracle.
 
 A standard plant (``LtiPlant``) is the descriptor plant with E = I, so one
-set of solvers serves both kinds.  The former names ``stabilizing_solution``,
-``solve_dre``, ``dae_optimal_trajectory`` and ``dae_steady_state`` stay
-importable, outside ``__all__``.
+set of solvers serves both kinds; ``solve_gare``'s Abar is the closed loop
+At - Rt P1 of the reduced Riccati equation and Bbar its input matrix G.  The
+former names ``stabilizing_solution``, ``dae_optimal_trajectory`` and
+``dae_steady_state`` stay importable, outside ``__all__``, for the benchmark.
 
 The numerical policy is fixed (``linalg.RESIDUAL_TOL``, ``linalg.PSD_SLACK``,
 ``linalg.rank_cut``, ``linalg.EIG_RANK_CUT`` and the fixed shifts of the
@@ -25,7 +26,7 @@ from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
                           StructuredDelta, check_convergence_condition,
                           gramians, reduced_coefficients, solve_fast_block,
                           solve_gare, solve_gdre, structured_delta)
-from .riccati import solve_dre, stabilizing_solution
+from .riccati import stabilizing_solution
 from .lqr import (FeedforwardTrajectory, OptimalTrajectory, StateDecomposition,
                   SteadyState, TurnpikeReport, decompose_state, feedforward,
                   optimal_trajectory, steady_state, turnpike_report)

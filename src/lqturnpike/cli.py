@@ -5,6 +5,9 @@ Scenarios are JSON files with matrices as nested row-major arrays::
     {"kind": "ode", "A": [[2,0],[0,-1]], "B": [[1],[1]], "C": [[0,1.7320508]],
      "F": [[1.7320508,0]], "x0": [1,1], "y_c": [0], "y_e": [1], "t1": 10}
 
+A "dae" scenario adds E; x0, y_c and y_e default to zeros and grid to 101.
+Any other field is refused.
+
 Exit codes: 0 ok, 1 usage/parse error, 2 a named solvability assumption
 fails (printed), 3 numerical failure.
 """
@@ -144,6 +147,12 @@ def load_scenario(path):
             field += f".{next(iter(tols))}"
         raise ScenarioError(f"{field}: the numerical tolerances are fixed; "
                             "remove this field")
+    known = {"kind", "A", "B", "C", "F", "x0", "y_c", "y_e", "t1", "grid"}
+    if kind == "dae":
+        known.add("E")
+    for key in data:
+        if key not in known:
+            raise ScenarioError(f"{where}.{key}: unknown field")
 
     return Scenario(kind=kind, plant=plant, x0=x0, y_c=y_c, y_e=y_e,
                     t1=float(t1), grid=grid, path=path)

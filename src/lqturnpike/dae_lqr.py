@@ -1,6 +1,7 @@
-"""Descriptor entry points kept under their former names: the trajectory
-and the steady state of both plant kinds come from ``lqr``.
-``dae_optimal_trajectory`` is ``lqr.optimal_trajectory``, and
+"""Descriptor entry points kept under their former names, because the
+benchmark's workloads call them and its tracer names this module as a
+layer: the trajectory and the steady state of both plant kinds come from
+``lqr``.  ``dae_optimal_trajectory`` is ``lqr.optimal_trajectory``, and
 ``dae_steady_state(gare, y_c)`` is ``lqr.steady_state`` of the plant the
 Riccati solution belongs to.
 """

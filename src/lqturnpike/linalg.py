@@ -26,6 +26,7 @@ RESIDUAL_TOL = 1e-8  # residual bound, relative to 1 + ||solution||_F
 PSD_SLACK = 1e-9     # semidefiniteness slack, relative to max(1, ||.||_2)
 EIG_RANK_CUT = float(np.sqrt(EPS))  # rank cut at a computed eigenvalue,
                                     # relative to max(1, ||.||_2)
+_NEWTON_STEPS = 12   # most Kleinman steps of the ARE residual polish
 
 
 def rank_cut(shape):
@@ -53,9 +54,11 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def as_vector(a, name="vector"):
-    """Validate and return ``a`` as a finite 1-D float array."""
+def as_vector(a, name="vector", size=None):
+    """Validate and return ``a`` as a finite 1-D float array (of ``size``)."""
     v = np.atleast_1d(np.asarray(a, dtype=float)).ravel()
+    if size is not None and v.size != size:
+        raise ValueError(f"{name} has size {v.size}, expected {size}")
     if v.size and not np.all(np.isfinite(v)):
         raise DimensionError(f"{name} contains non-finite entries")
     return v
@@ -160,9 +163,10 @@ def _are_residual(a, bbt, q, p):
     return a.T @ p + p @ a - p @ bbt @ p + q
 
 
-def _kleinman_refine(a, bbt, q, p0, max_iter=12):
+def _kleinman_refine(a, bbt, q, p0):
     """Newton (Kleinman) refinement of an approximately stabilizing ARE
-    solution; each step is one Lyapunov solve with the current closed loop.
+    solution; each step is one Lyapunov solve with the current closed loop,
+    and stops where that solve refuses it as not Hurwitz.
 
     Returns the iterate with the smallest residual.  Quadratically
     convergent, so one or two steps repair the accuracy that the subspace
@@ -171,12 +175,9 @@ def _kleinman_refine(a, bbt, q, p0, max_iter=12):
     best_p = p0
     best_res = np.linalg.norm(_are_residual(a, bbt, q, p0), "fro")
     p = p0
-    for _ in range(max_iter):
-        a_cl = a - bbt @ p
-        if spectral_abscissa(a_cl) >= 0.0:
-            break
+    for _ in range(_NEWTON_STEPS):
         try:
-            p_next = sym(solve_lyapunov(a_cl.T, q + p @ bbt @ p))
+            p_next = sym(solve_lyapunov((a - bbt @ p).T, q + p @ bbt @ p))
         except (NumericalError, AssumptionViolation):
             break
         res = np.linalg.norm(_are_residual(a, bbt, q, p_next), "fro")

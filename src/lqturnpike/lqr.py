@@ -126,7 +126,7 @@ def steady_state(plant, are, y_c):
     """Steady-state optimum of either plant kind: x_s = A+^{-1} BB* A+^{-*}
     C* y_c, w_s = A+^{-*} C* y_c, u_s = -B*(P+ x_s + w_s), with the full
     closed loop A+ (invertible, since A+2 is and Abar is stable)."""
-    y_c = as_vector(y_c, "y_c")
+    y_c = as_vector(y_c, "y_c", plant.k)
     a, b, c = plant.A, plant.B, plant.C
     cy = c.T @ y_c
     w_s = np.linalg.solve(are.A_plus.T, cy)
@@ -175,8 +175,8 @@ def feedforward(delta, y_c, y_e, t1, grid=101):
     if g.partition.d != n:
         raise ValueError("feedforward's closed forms need a standard plant "
                          f"(d = n), not d = {g.partition.d} < n = {n}")
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
+    y_c = as_vector(y_c, "y_c", plant.k)
+    y_e = as_vector(y_e, "y_e", plant.F.shape[0])
     w_int = optimal_trajectory(plant, np.zeros(n), y_c, y_e, t1, grid).w
     ts = np.linspace(0.0, t1, grid)
     ap, w_inf, ident = g.A_plus, delta.gram_bar.W, np.eye(n)
@@ -216,18 +216,15 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
     Supplied algebraic initial values are replaced by the consistent ones,
     with a note on the result.
     """
-    x0 = as_vector(x0, "x0")
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
-    if x0.size != plant.n:
-        raise ValueError(f"x0 has size {x0.size}, expected {plant.n}")
+    x0 = as_vector(x0, "x0", plant.n)
+    y_c = as_vector(y_c, "y_c", plant.k)
+    y_e = as_vector(y_e, "y_e", plant.F.shape[0])
     part, p2, red = _reduce(plant)
     d = part.d
 
     k2_cy = np.linalg.solve(red.K2, part.C2.T @ y_c)
     z = part.B2.T @ k2_cy
-    g2 = np.linalg.solve(red.K2, red.N).T @ part.B2
-    c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - g2 @ z
+    c_t = part.C1.T @ y_c - part.A21.T @ k2_cy - red.g2 @ z
     ts, p1s, w1, x1s, gap = sweep(red.A_t, red.R_t, red.Q_t, part.S1,
                                   -red.G @ z, c_t, -part.F1.T @ y_e, t1, grid,
                                   x0[:d])

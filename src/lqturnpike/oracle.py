@@ -2,8 +2,9 @@
 finite-horizon problems into an equality-constrained QP solved through one
 banded KKT system.
 
-Standard plants use implicit-midpoint dynamics (second order, controls at
-interval midpoints); descriptor plants use trapezoidal collocation on the
+Standard plants (d = n, also a descriptor plant with E = I) use
+implicit-midpoint dynamics (second order, controls at interval midpoints);
+descriptor plants with d < n use trapezoidal collocation on the
 differential rows with the algebraic rows pinned exactly at every node
 (controls at nodes).  Each scheme is assembled once as COO triplets by
 vectorised index arithmetic.  Every KKT unknown carries a time-stage key;
@@ -23,7 +24,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NumericalError
 from .linalg import as_vector, rank_svd
-from .plants import DescriptorPlant, LtiPlant
+from .plants import DescriptorPlant
 
 _RANK_CHECK_MAX_N = 200  # full row-rank audit (dense SVD of G) only at small sizes
 _KKT_RESIDUAL_MAX = 1e-9
@@ -115,20 +116,19 @@ def _assemble(plant, x0, y_c, y_e, t1, N):
     key of every KKT unknown: z, then the multipliers."""
     if N < _MIN_STEPS:
         raise ValueError(f"N must be at least {_MIN_STEPS}")
-    x0 = as_vector(x0, "x0")
-    y_c = as_vector(y_c, "y_c")
-    y_e = as_vector(y_e, "y_e")
+    if not isinstance(plant, DescriptorPlant):
+        raise TypeError(f"unsupported plant type {type(plant).__name__}")
+    x0 = as_vector(x0, "x0", plant.n)
+    y_c = as_vector(y_c, "y_c", plant.k)
+    y_e = as_vector(y_e, "y_e", plant.F.shape[0])
     n, m, h = plant.n, plant.m, t1 / N
     wq = _trapezoid_weights(N, h)
-    # an LtiPlant is also a DescriptorPlant (E = I), so it is tested first
-    if isinstance(plant, LtiPlant):
+    if plant.d == n:
         kind, d, wu = "ode", 0, np.full(N, h)     # controls at midpoints
         g_parts, b, g_stage = _ode_constraints(plant, x0, N, h)
-    elif isinstance(plant, DescriptorPlant):
+    else:
         kind, d, wu = "dae", plant.d, wq          # controls at the nodes
         g_parts, b, g_stage = _dae_constraints(plant, x0, N, h)
-    else:
-        raise TypeError(f"unsupported plant type {type(plant).__name__}")
 
     nx = n * (N + 1)
     nz = nx + m * wu.size
@@ -253,24 +253,23 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
         u_times = grid.copy()
         d = disc.d
         shift = 0.0
-        if n > d:
-            # Boundary-node controls are tied to one-sided interval
-            # multipliers (and, for nonzero C2, to an h-amplified algebraic
-            # multiplier), which leaves them an order behind the interior;
-            # report the boundary limits by quadratic extrapolation and keep
-            # the algebraic rows consistent with the reported controls.
-            part = plant.partition()
-            u_first = 3.0 * us[1] - 3.0 * us[2] + us[3]
-            u_last = 3.0 * us[-2] - 3.0 * us[-3] + us[-4]
-            try:
-                for j, uj in ((0, u_first), (N, u_last)):
-                    x2j = -np.linalg.solve(
-                        part.A22, part.A21 @ xs[j, :d] + part.B2 @ uj)
-                    shift = max(shift, float(np.max(np.abs(uj - us[j]))))
-                    us[j] = uj
-                    xs[j, d:] = x2j
-            except np.linalg.LinAlgError:
-                pass   # singular fast block: keep the raw QP values
+        # Boundary-node controls are tied to one-sided interval multipliers
+        # (and, for nonzero C2, to an h-amplified algebraic multiplier),
+        # which leaves them an order behind the interior; report the
+        # boundary limits by quadratic extrapolation and keep the algebraic
+        # rows consistent with the reported controls.
+        part = plant.partition()
+        u_first = 3.0 * us[1] - 3.0 * us[2] + us[3]
+        u_last = 3.0 * us[-2] - 3.0 * us[-3] + us[-4]
+        try:
+            for j, uj in ((0, u_first), (N, u_last)):
+                x2j = -np.linalg.solve(
+                    part.A22, part.A21 @ xs[j, :d] + part.B2 @ uj)
+                shift = max(shift, float(np.max(np.abs(uj - us[j]))))
+                us[j] = uj
+                xs[j, d:] = x2j
+        except np.linalg.LinAlgError:
+            pass   # singular fast block: keep the raw QP values
     else:
         u_times = grid[:-1] + 0.5 * h
     cost = 0.5 * float(hv @ (z[hr] * z[hc])) - float(disc.f @ z) + disc.const

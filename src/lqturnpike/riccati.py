@@ -1,12 +1,10 @@
-"""Former names of the Riccati solvers of both plant kinds, kept as aliases:
-``stabilizing_solution`` is ``dae_riccati.solve_gare``, ``solve_dre`` is
-``dae_riccati.solve_gdre`` and ``dre_fd_residual`` is
-``dae_riccati.gdre_fd_residual``.  The paper's closed forms are methods of
-``dae_riccati.StructuredDelta``.
+"""The former name ``stabilizing_solution`` of ``dae_riccati.solve_gare``,
+kept as an alias because the benchmark's workloads call it and its tracer
+names this module as a layer.  The Riccati solvers of both plant kinds and
+the paper's closed forms (methods of ``dae_riccati.StructuredDelta``) live
+in ``dae_riccati``.
 """
 
-from .dae_riccati import gdre_fd_residual, solve_gare, solve_gdre
+from .dae_riccati import solve_gare
 
 stabilizing_solution = solve_gare
-solve_dre = solve_gdre
-dre_fd_residual = gdre_fd_residual

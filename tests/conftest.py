@@ -67,7 +67,7 @@ def ref_dae():
 
 @pytest.fixture(scope="session")
 def are_abc(abc_fperp):
-    return lt.stabilizing_solution(abc_fperp)
+    return lt.solve_gare(abc_fperp)
 
 
 @pytest.fixture(scope="session")

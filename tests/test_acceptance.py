@@ -26,12 +26,12 @@ def _ok(label, detail=""):
 
 @pytest.fixture(scope="module")
 def dre_fperp(abc_fperp):
-    return lt.solve_dre(abc_fperp, T1)
+    return lt.solve_gdre(abc_fperp, T1)
 
 
 @pytest.fixture(scope="module")
 def dre_fc(abc_fc):
-    return lt.solve_dre(abc_fc, T1)
+    return lt.solve_gdre(abc_fc, T1)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,8 @@ def oracle_runs(abc_fperp, ref_dae):
                                     grid=N + 1)
         runs[("ode", N)] = (sol, ric)
         sol = lt.transcribe_and_solve(ref_dae, X0_DAE, [1.0], [0.0], T1, N)
-        ricd = lt.dae_optimal_trajectory(ref_dae, X0_DAE, [1.0], [0.0], T1,
-                                         grid=N + 1)
+        ricd = lt.optimal_trajectory(ref_dae, X0_DAE, [1.0], [0.0], T1,
+                                     grid=N + 1)
         runs[("dae", N)] = (sol, ricd)
     return runs
 
@@ -123,10 +123,10 @@ def test_criterion_5_ode_turnpike(abc_fperp, abc_fc, are_abc, traj_fperp,
     comp_dip = np.abs(traj_fperp.x[middle]).min()
     eucl_dip = np.linalg.norm(traj_fperp.x[middle], axis=1).min()
     assert comp_dip <= 1e-4
-    rep = lt.turnpike_report(traj_fperp, steady, lam=are_abc.lam)
+    rep = lt.turnpike_report(traj_fperp, steady, lam=are_abc.lambda_bar)
     assert -2.2 <= rep.lambda_hat <= -1.8
     assert rep.envelope_holds
-    rep_fc = lt.turnpike_report(traj_fc, steady, lam=are_abc.lam)
+    rep_fc = lt.turnpike_report(traj_fc, steady, lam=are_abc.lambda_bar)
     assert not rep_fc.envelope_holds
     for lam in (-2.0, -1.0, -0.25):
         assert not lt.turnpike_report(traj_fc, steady, lam=lam).envelope_holds
@@ -142,7 +142,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     a, b = abc_fperp.A, abc_fperp.B
     delta = lt.StructuredDelta(are_abc, s, gram_abc)
 
-    dre = lt.solve_dre(abc_fperp, T1, 2001)
+    dre = lt.solve_gdre(abc_fperp, T1, 2001)
     field = riccati_field(abc_fperp)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
     pin = CubicHermiteSpline(dre.grid, dre.P.reshape(2001, -1),
@@ -187,7 +187,7 @@ def test_criterion_6_explicit_formula_equivalence(abc_fperp, are_abc,
     assert err_ff < 1e-6
 
     # delta formula against the integrated Riccati flow
-    coarse = lt.solve_dre(abc_fperp, T1)
+    coarse = lt.solve_gdre(abc_fperp, T1)
     err_delta = max(
         np.abs(are_abc.P_plus + delta.delta1(t, T1) - p).max()
         for t, p in zip(coarse.grid, coarse.P))
@@ -211,11 +211,11 @@ def test_criterion_7_reference_dae_chain(ref_dae, gare_ref):
     bracket = 1.0 + delta.gram_bar.W[0, 0] * (1.0 - (1.0 + SQRT2))
     assert bracket == pytest.approx(0.5, abs=1e-12)
 
-    steady = lt.dae_steady_state(gare_ref, [1.0])
+    steady = lt.steady_state(gare_ref.plant, gare_ref, [1.0])
     assert np.abs(steady.x_s - [0.5, -0.5]).max() < 1e-9
     assert abs(steady.u_s[0] + 0.5) < 1e-9
 
-    traj = lt.dae_optimal_trajectory(ref_dae, X0_DAE, [1.0], [0.0], T1)
+    traj = lt.optimal_trajectory(ref_dae, X0_DAE, [1.0], [0.0], T1)
     rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
     assert -1.6 <= rep.lambda_hat <= -1.2
     _ok("criterion 7: reference descriptor chain",

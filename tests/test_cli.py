@@ -94,6 +94,17 @@ class TestScenarioParsing:
             load_scenario(path)
         assert main(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("y_C", [5.0]), ("E", [[1.0, 0.0], [0.0, 1.0]])], ids=["y_C", "ode-E"])
+    def test_unknown_field_refused(self, key, value, tmp_path, capsys):
+        # a misspelled key or an E on a standard plant would otherwise be
+        # dropped without a word
+        path = _write(tmp_path, "s.json", dict(ODE_SCENARIO, **{key: value}))
+        with pytest.raises(ScenarioError, match=rf"s\.json\.{key}: unknown field"):
+            load_scenario(path)
+        assert main(["simulate", str(path)]) == 1
+        assert f"error: s.json.{key}: unknown field" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, where", [
         ("t1", float("nan"), "t1"),
         ("t1", float("inf"), "t1"),
@@ -351,7 +362,7 @@ class TestExitCodes:
         traj = lt.optimal_trajectory(sc.plant, sc.x0, sc.y_c, sc.y_e, sc.t1)
         steady = lt.steady_state(sc.plant, are, sc.y_c)
         dec = lt.decompose_state(traj, are, steady)
-        dre = lt.solve_dre(sc.plant, sc.t1, 4001)
+        dre = lt.solve_gdre(sc.plant, sc.t1, 4001)
         field = riccati_field(sc.plant)
         slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
         p_of = CubicHermiteSpline(dre.grid, dre.P.reshape(len(dre.grid), -1),

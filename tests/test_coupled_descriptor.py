@@ -87,8 +87,8 @@ def test_trajectory_against_oracle(plant, gare):
     errs = {}
     for n_steps in (200, 400):
         sol = lt.transcribe_and_solve(plant, X0, Y_C, Y_E, T1, n_steps)
-        traj = lt.dae_optimal_trajectory(plant, X0, Y_C, Y_E, T1,
-                                         grid=n_steps + 1)
+        traj = lt.optimal_trajectory(plant, X0, Y_C, Y_E, T1,
+                                     grid=n_steps + 1)
         assert traj.algebraic_residual <= 1e-10
         errs[n_steps] = max(np.abs(traj.x - sol.x).max(),
                             np.abs(traj.u - sol.u).max())
@@ -99,7 +99,7 @@ def test_trajectory_against_oracle(plant, gare):
 
 
 def test_steady_state_and_feedforward(plant, gare):
-    steady = lt.dae_steady_state(gare, Y_C)
+    steady = lt.steady_state(gare.plant, gare, Y_C)
     assert steady.kkt_residual <= 1e-12
     ff = lt.optimal_trajectory(plant, X0, Y_C, Y_E, T1, grid=81)
     part = gare.partition

@@ -21,19 +21,19 @@ def _random_descriptor(rng, d=2, n2=1, m=2, k=2):
 
 class TestDaeSteadyState:
     def test_zero_target(self, gare_ref):
-        st = lt.dae_steady_state(gare_ref, [0.0])
+        st = lt.steady_state(gare_ref.plant, gare_ref, [0.0])
         assert np.abs(st.x_s).max() == 0.0
         assert np.abs(st.u_s).max() == 0.0
 
     def test_reference_values(self, gare_ref):
-        st = lt.dae_steady_state(gare_ref, [1.0])
+        st = lt.steady_state(gare_ref.plant, gare_ref, [1.0])
         assert np.abs(st.x_s - [0.5, -0.5]).max() < 1e-9
         assert st.u_s[0] == pytest.approx(-0.5, abs=1e-9)
         assert st.w_s1[0] == pytest.approx(-1.0 / SQRT2, abs=1e-9)
         assert np.abs(st.w_s2).max() < 1e-12
 
     def test_steady_residual_identity(self, ref_dae, gare_ref):
-        st = lt.dae_steady_state(gare_ref, [1.0])
+        st = lt.steady_state(gare_ref.plant, gare_ref, [1.0])
         resid = ref_dae.A @ st.x_s + ref_dae.B @ st.u_s
         assert np.abs(resid).max() < 1e-12
 
@@ -49,7 +49,7 @@ class TestDaeSteadyState:
             except (lt.AssumptionViolation, lt.NumericalError):
                 continue
             y_c = rng.standard_normal(plant.k)
-            st = lt.dae_steady_state(gare, y_c)   # enforces the residual
+            st = lt.steady_state(plant, gare, y_c)   # enforces the residual
             assert st.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(st.x_s)
                                            + np.linalg.norm(y_c))
             solved += 1
@@ -75,15 +75,15 @@ class TestDaeFeedforward:
 
 class TestDaeOptimalTrajectory:
     def test_turnpike_value_mid_horizon(self, ref_dae):
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
-                                         10.0)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
+                                     10.0)
         mid = len(traj.grid) // 2
         assert abs(traj.x1[mid, 0] - 0.5) < 1e-3
         assert traj.algebraic_residual <= 1e-8
 
     def test_algebraic_consistency_everywhere(self, ref_dae):
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [1.0],
-                                         10.0)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [1.0],
+                                     10.0)
         part = ref_dae.partition()
         resid = np.array([
             part.A21 @ traj.x1[i] + part.A22 @ traj.x2[i] + part.B2 @ traj.u[i]
@@ -91,8 +91,8 @@ class TestDaeOptimalTrajectory:
         assert np.abs(resid).max() <= 1e-8
 
     def test_inconsistent_x2_overridden(self, ref_dae):
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 99.0], [1.0], [0.0],
-                                         10.0)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 99.0], [1.0], [0.0],
+                                     10.0)
         assert traj.notes
         assert abs(traj.x2[0, 0] - 99.0) > 10.0   # replaced, not honored
 
@@ -102,15 +102,15 @@ class TestDaeOptimalTrajectory:
                                     F=abc_fperp.F)
         traj_ode = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0],
                                          10.0)
-        traj_dae = lt.dae_optimal_trajectory(dplant, [1.0, 1.0], [0.0], [1.0],
-                                             10.0)
+        traj_dae = lt.optimal_trajectory(dplant, [1.0, 1.0], [0.0], [1.0],
+                                         10.0)
         assert np.abs(traj_ode.x - traj_dae.x).max() < 1e-10
         assert np.abs(traj_ode.u - traj_dae.u).max() < 1e-10
         assert abs(traj_ode.cost - traj_dae.cost) < 1e-10
 
     def test_w2_relation_at_nodes(self, ref_dae, gare_ref):
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [1.0],
-                                         10.0)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [1.0],
+                                     10.0)
         coef = -np.linalg.solve(gare_ref.A_p2.T, gare_ref.A_p12.T)
         const = np.linalg.solve(gare_ref.A_p2.T,
                                 gare_ref.partition.C2.T @ np.array([1.0]))
@@ -147,23 +147,23 @@ class TestDaeOptimalTrajectory:
 
 class TestDaeTurnpikeReport:
     def test_affine_rate_window(self, ref_dae, gare_ref):
-        steady = lt.dae_steady_state(gare_ref, [1.0])
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
-                                         10.0)
+        steady = lt.steady_state(gare_ref.plant, gare_ref, [1.0])
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
+                                     10.0)
         rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
         assert -1.6 <= rep.lambda_hat <= -1.2
         assert rep.envelope_holds
 
     def test_homogeneous(self, ref_dae, gare_ref):
-        steady = lt.dae_steady_state(gare_ref, [0.0])
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
-                                         10.0)
+        steady = lt.steady_state(gare_ref.plant, gare_ref, [0.0])
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
+                                     10.0)
         rep = lt.turnpike_report(traj, steady, lam=gare_ref.lambda_bar)
         assert -1.6 <= rep.lambda_hat <= -1.2
         assert rep.envelope_holds
 
     def test_synthetic_on_turnpike(self, gare_ref):
-        steady = lt.dae_steady_state(gare_ref, [1.0])
+        steady = lt.steady_state(gare_ref.plant, gare_ref, [1.0])
 
         class Synthetic:
             grid = np.linspace(0.0, 10.0, 101)

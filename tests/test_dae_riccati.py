@@ -259,7 +259,7 @@ class TestSolveGare:
             E=np.eye(abc_fperp.n), A=abc_fperp.A, B=abc_fperp.B,
             C=abc_fperp.C, F=abc_fperp.F))
         assert np.abs(gare.P_plus - are_abc.P_plus).max() < 1e-10
-        assert gare.lambda_bar == pytest.approx(are_abc.lam, abs=1e-8)
+        assert gare.lambda_bar == pytest.approx(are_abc.lambda_bar, abs=1e-8)
         assert np.abs(gare.A_bar - are_abc.A_plus).max() < 1e-10
 
     def test_terminal_incompatibility_rejected(self):
@@ -410,8 +410,8 @@ class TestDecoupledClosedLoop:
 
     def test_simulated_decoupling(self, ref_dae, gare_ref):
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
-                                         10.0)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [0.0], [0.0],
+                                     10.0)
         err = max(
             np.abs(traj.x2[i] - delta.A2_hat(t, 10.0) @ traj.x1[i]).max()
             for i, t in enumerate(traj.grid))

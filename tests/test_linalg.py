@@ -109,6 +109,14 @@ class TestAre:
         # the non-stabilizing root diag(0, 1) must never come back
         assert np.abs(p - np.diag([0.0, 1.0])).max() > 1.0
 
+    def test_newton_polish_weak_input(self):
+        # the Schur step alone leaves a residual of about 1e4 against a
+        # bound of 2e2 here; the Kleinman polish brings P+ to full accuracy
+        p = solve_are_q(np.array([[1.0]]), np.array([[1e-10]]),
+                        np.array([[1.0]]))
+        expected = (1.0 + np.sqrt(1.0 + 1e-10)) / 1e-10
+        assert abs(p[0, 0] - expected) <= 1e-12 * expected
+
     def test_random_instances(self):
         rng = np.random.default_rng(23)
         for _ in range(8):

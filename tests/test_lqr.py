@@ -35,7 +35,7 @@ class TestSteadyState:
             b = rng.standard_normal((n, m))
             c = rng.standard_normal((k, n))
             plant = lt.LtiPlant(A=a, B=b, C=c, F=np.zeros((1, n)))
-            are = lt.stabilizing_solution(plant)
+            are = lt.solve_gare(plant)
             y_c = rng.standard_normal(k)
             st = lt.steady_state(plant, are, y_c)
             scale = 1.0 + max(np.linalg.norm(st.x_s), np.linalg.norm(y_c))
@@ -67,7 +67,7 @@ class TestSteadyState:
         a, b, c, y_c = (np.array(m) for m in (a, b, c, y_c))
         n, m = b.shape
         plant = lt.LtiPlant(A=a, B=b, C=c, F=np.zeros((1, n)))
-        are = lt.stabilizing_solution(plant)
+        are = lt.solve_gare(plant)
         assert np.linalg.norm(are.P_plus, 2) > 6e3
         _assert_matches_direct_kkt(plant, are, y_c)
 
@@ -124,7 +124,7 @@ class TestFeedforward:
         plant = lt.LtiPlant(A=a, B=rng.standard_normal((3, 2)),
                             C=rng.standard_normal((2, 3)),
                             F=rng.standard_normal((2, 3)))
-        are = lt.stabilizing_solution(plant)
+        are = lt.solve_gare(plant)
         gram = lt.gramians(are, plant.B)
         st = lt.StructuredDelta(are, plant.terminal_weight, gram)
         ff = lt.feedforward(st, [0.4, -0.2], [1.0, 0.3], 6.0)
@@ -295,7 +295,7 @@ class TestTurnpikeReport:
     def test_affine_reference(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [0.0])
         traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0], 10.0)
-        rep = lt.turnpike_report(traj, steady, lam=are_abc.lam)
+        rep = lt.turnpike_report(traj, steady, lam=are_abc.lambda_bar)
         assert -2.2 <= rep.lambda_hat <= -1.8
         assert rep.envelope_holds
         assert rep.max_violation <= 0.0
@@ -305,7 +305,7 @@ class TestTurnpikeReport:
     def test_homogeneous_reference(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [0.0])
         traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [0.0], 10.0)
-        rep = lt.turnpike_report(traj, steady, lam=are_abc.lam)
+        rep = lt.turnpike_report(traj, steady, lam=are_abc.lambda_bar)
         assert -2.2 <= rep.lambda_hat <= -1.8
         assert rep.envelope_holds
 
@@ -326,7 +326,7 @@ class TestTurnpikeReport:
         # window sample, so no rate can be fitted
         steady = lt.steady_state(abc_fc, are_abc, [0.0])
         traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], [1.0], 40.0)
-        rep = lt.turnpike_report(traj, steady, lam=are_abc.lam)
+        rep = lt.turnpike_report(traj, steady, lam=are_abc.lambda_bar)
         assert np.isnan(rep.lambda_hat)
         assert not rep.envelope_holds
         assert any("rate not fitted" in note for note in rep.notes)
@@ -350,7 +350,7 @@ class TestTurnpikeReport:
         for t1 in (6.0, 10.0, 14.0):
             traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0],
                                          t1, grid=141)
-            rep = lt.turnpike_report(traj, steady, lam=are_abc.lam)
+            rep = lt.turnpike_report(traj, steady, lam=are_abc.lambda_bar)
             assert rep.envelope_holds
             c_hats.append(rep.C_hat)
             middle = (traj.grid > t1 / 4.0) & (traj.grid < 3.0 * t1 / 4.0)
@@ -391,3 +391,38 @@ def test_standard_plant_is_its_identity_descriptor(which, abc_fperp, abc_fc):
     dtraj = lt.optimal_trajectory(dplant, x0, y_c, y_e, 10.0)
     for name in ("x", "u", "w", "P", "cost"):
         assert np.array_equal(getattr(traj, name), getattr(dtraj, name)), name
+    # the oracle picks its scheme from d = n, not from the class
+    sol = lt.transcribe_and_solve(plant, x0, y_c, y_e, 5.0, 200)
+    dsol = lt.transcribe_and_solve(dplant, x0, y_c, y_e, 5.0, 200)
+    for name in ("x", "u", "cost", "kkt_dim"):
+        assert np.array_equal(getattr(sol, name), getattr(dsol, name)), name
+
+
+@pytest.mark.parametrize("entry, name", [
+    ("optimal_trajectory", "x0"), ("optimal_trajectory", "y_c"),
+    ("optimal_trajectory", "y_e"), ("steady_state", "y_c"),
+    ("feedforward", "y_c"), ("feedforward", "y_e"),
+    ("transcribe_and_solve", "x0"), ("transcribe_and_solve", "y_c"),
+    ("transcribe_and_solve", "y_e")])
+def test_wrong_vector_size_is_named(entry, name, abc_fperp):
+    # the entry points name the vector of the wrong size instead of failing
+    # inside a matrix product
+    plant = abc_fperp
+    args = {"x0": np.ones(2), "y_c": np.zeros(1), "y_e": np.ones(1)}
+    size = args[name].size + 1
+    args[name] = np.ones(size)
+    x0, y_c, y_e = args["x0"], args["y_c"], args["y_e"]
+    calls = {
+        "optimal_trajectory":
+            lambda: lt.optimal_trajectory(plant, x0, y_c, y_e, 10.0),
+        "steady_state":
+            lambda: lt.steady_state(plant, lt.solve_gare(plant), y_c),
+        "feedforward": lambda: lt.feedforward(
+            lt.structured_delta(lt.solve_gare(plant), plant.terminal_weight),
+            y_c, y_e, 10.0),
+        "transcribe_and_solve":
+            lambda: lt.transcribe_and_solve(plant, x0, y_c, y_e, 10.0, 100),
+    }
+    with pytest.raises(ValueError,
+                       match=rf"^{name} has size {size}, expected {size - 1}$"):
+        calls[entry]()

@@ -57,8 +57,8 @@ class TestAgreement:
     def test_dae_small(self, ref_dae):
         sol = lt.transcribe_and_solve(ref_dae, [1.0, 0.0], [1.0], [0.0],
                                       10.0, 200)
-        traj = lt.dae_optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
-                                         10.0, grid=201)
+        traj = lt.optimal_trajectory(ref_dae, [1.0, 0.0], [1.0], [0.0],
+                                     10.0, grid=201)
         assert np.abs(traj.x - sol.x).max() < 3e-3
         assert np.abs(traj.u - sol.u).max() < 3e-3
 

@@ -5,7 +5,7 @@ from scipy.interpolate import CubicHermiteSpline
 import lqturnpike as lt
 from lqturnpike.errors import SingularBracketError
 from lqturnpike.linalg import PSD_SLACK
-from lqturnpike.riccati import dre_fd_residual
+from lqturnpike.dae_riccati import gdre_fd_residual
 
 from conftest import P_PLUS_ABC, SQRT2, integrate, riccati_field
 
@@ -13,7 +13,7 @@ TAU_GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
 
 def _p_interp(plant, t1, grid=2001):
-    dre = lt.solve_dre(plant, t1, grid)
+    dre = lt.solve_gdre(plant, t1, grid)
     field = riccati_field(plant)
     slopes = np.array([field(t, p) for t, p in zip(dre.grid, dre.P)])
     return dre, CubicHermiteSpline(dre.grid, dre.P.reshape(grid, -1),
@@ -23,8 +23,23 @@ def _p_interp(plant, t1, grid=2001):
 class TestStabilizingSolution:
     def test_bundle(self, abc_fperp, are_abc):
         assert np.abs(are_abc.P_plus - P_PLUS_ABC).max() < 1e-12
-        assert are_abc.lam == pytest.approx(-2.0, abs=1e-6)
+        assert are_abc.lambda_bar == pytest.approx(-2.0, abs=1e-6)
         assert are_abc.residual <= 1e-12
+
+
+def test_kept_former_names_are_the_canonical_functions(ref_dae, gare_ref):
+    # the benchmark's workloads still call these former names
+    from lqturnpike import dae_lqr, riccati
+    assert lt.stabilizing_solution is riccati.stabilizing_solution
+    assert lt.stabilizing_solution is lt.solve_gare
+    assert lt.dae_optimal_trajectory is lt.optimal_trajectory
+    assert lt.dae_steady_state is dae_lqr.dae_steady_state
+    st, canonical = (lt.dae_steady_state(gare_ref, [1.0]),
+                     lt.steady_state(ref_dae, gare_ref, [1.0]))
+    assert np.array_equal(st.x_s, canonical.x_s)
+    assert np.array_equal(st.u_s, canonical.u_s)
+    assert gare_ref.lam == gare_ref.lambda_bar
+    assert not hasattr(lt, "solve_dre") and not hasattr(riccati, "solve_dre")
 
 
 class TestSolveDre:
@@ -32,31 +47,31 @@ class TestSolveDre:
         # terminal weight equal to the stabilizing solution freezes the flow
         f_eq = np.linalg.cholesky(are_abc.P_plus).T
         plant = lt.LtiPlant(A=abc_fperp.A, B=abc_fperp.B, C=abc_fperp.C, F=f_eq)
-        dre = lt.solve_dre(plant, 10.0)
+        dre = lt.solve_gdre(plant, 10.0)
         assert np.abs(dre.P - are_abc.P_plus).max() < 1e-8
 
     def test_figure_norms(self, abc_fperp, abc_fc):
-        dre = lt.solve_dre(abc_fperp, 10.0)
+        dre = lt.solve_gdre(abc_fperp, 10.0)
         assert dre.norm_fro()[0] == pytest.approx(7.6795, abs=1e-3)
-        dre_fc = lt.solve_dre(abc_fc, 10.0)
+        dre_fc = lt.solve_gdre(abc_fc, 10.0)
         assert dre_fc.norm_fro()[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_terminal_and_symmetry(self, abc_fperp):
-        dre = lt.solve_dre(abc_fperp, 10.0)
+        dre = lt.solve_gdre(abc_fperp, 10.0)
         assert np.array_equal(dre.P[-1], abc_fperp.terminal_weight)
         asym = np.abs(dre.P - np.transpose(dre.P, (0, 2, 1))).max()
         assert asym < 1e-10
 
     def test_fd_residual_within_bound(self, abc_fperp):
         for grid in (101, 401):
-            dre = lt.solve_dre(abc_fperp, 10.0, grid)
-            resid, bound = dre_fd_residual(dre, abc_fperp)
+            dre = lt.solve_gdre(abc_fperp, 10.0, grid)
+            resid, bound = gdre_fd_residual(dre, abc_fperp)
             assert resid <= bound
 
     def test_nonconvergent_limit(self, abc_fc, are_abc):
         # with the terminal weight along the output, the backward flow
         # settles at the non-stabilizing root diag(0, 1)
-        dre = lt.solve_dre(abc_fc, 10.0)
+        dre = lt.solve_gdre(abc_fc, 10.0)
         assert np.linalg.norm(dre.P[0] - are_abc.P_plus, "fro") > 0.5
         assert np.abs(dre.P[0] - np.diag([0.0, 1.0])).max() < 1e-6
         cl = abc_fc.A - abc_fc.B @ abc_fc.B.T @ dre.P[0]
@@ -76,7 +91,7 @@ class TestGramians:
 
     def test_scalar_closed_form(self):
         plant = lt.LtiPlant(A=[[1.0]], B=[[1.0]], C=[[1.0]], F=[[0.0]])
-        are = lt.stabilizing_solution(plant)
+        are = lt.solve_gare(plant)
         gram = lt.gramians(are, plant.B)
         assert gram.W[0, 0] == pytest.approx(1.0 / (2.0 * SQRT2), abs=1e-12)
         for tau in (0.3, 1.0, 4.0):
@@ -108,7 +123,7 @@ class TestSlidingTerminal:
 
     def test_scalar_closed_form(self):
         plant = lt.LtiPlant(A=[[1.0]], B=[[1.0]], C=[[1.0]], F=[[0.0]])
-        are = lt.stabilizing_solution(plant)
+        are = lt.solve_gare(plant)
         gram = lt.gramians(are, plant.B)
         st = lt.StructuredDelta(are, np.zeros((1, 1)), gram)
         # S - P+ = -(1 + sqrt 2); at tau -> infinity the value is -2 sqrt 2
@@ -159,7 +174,7 @@ class TestDeltaFormula:
 
     def test_matches_integrated_dre(self, abc_fperp, are_abc, gram_abc):
         s = abc_fperp.terminal_weight
-        dre = lt.solve_dre(abc_fperp, 10.0)
+        dre = lt.solve_gdre(abc_fperp, 10.0)
         delta = lt.StructuredDelta(are_abc, s, gram_abc)
         err = max(
             np.abs(are_abc.P_plus + delta.delta1(t, 10.0) - p).max()
@@ -201,7 +216,7 @@ class TestFundamentalSolution:
                             B=rng.standard_normal((8, 2)),
                             C=rng.standard_normal((2, 8)),
                             F=rng.standard_normal((1, 8)))
-        are = lt.stabilizing_solution(plant)
+        are = lt.solve_gare(plant)
         delta = lt.structured_delta(are, plant.terminal_weight)
         ts, us = integrate(lambda t, u: delta.A1_hat(t, 10.0) @ u, np.eye(8),
                            10.0, 0.0, grid=5)
