@@ -391,12 +391,12 @@ def gare_residual(plant, p):
 
 
 def solve_gdre(plant, t1, grid=101):
-    """Backward Riccati solve of either plant kind: sweep the reduced
-    equation in the differential block from P1(t1) = S1 over its exact flow
-    maps (``integrate.sweep`` with zero affine terms), slave the coupling
-    block algebraically and keep the fast block constant.  No algebraic
-    Riccati equation is solved, so plants whose slow dynamics cannot be
-    stabilized get their solution too."""
+    """Backward Riccati solve of either plant kind: the reduced equation in
+    the differential block from P1(t1) = S1 by the exact dichotomy solve
+    (``integrate.sweep`` with zero affine terms), the coupling block slaved
+    algebraically and the fast block constant.  No algebraic Riccati
+    equation is solved, so plants whose slow dynamics cannot be stabilized
+    get their solution too."""
     part, p2, red = _reduce(plant)
     zero = np.zeros(part.d)
     ts, p1s, _, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,

@@ -1,65 +1,77 @@
-"""Exact stepping of the finite-horizon LQ two-point boundary-value problem
+"""Exact solution of the finite-horizon LQ two-point boundary-value problem
 
     x' = A x - R lam + g,    lam' = -Q x - A* lam + c,
     x(0) = x0,               lam(t1) = S x(t1) + w_end,
 
-on a uniform grid.  All coefficients are constant, so one ``expm`` of the
-augmented Hamiltonian is the exact flow map of every grid interval, and its
-powers, built by doubling, are the maps over i intervals.  The Riccati
-solution P and the feedforward w of lam = P x + w are stepped backward by a
-blocked Davison-Maki sweep (Davison and Maki, IEEE TAC 18(1), 1973): every
-node of a block is one exact map away from the block's top (latest) node,
-where the sweep is reinitialised.  A block's length times ||H||_1 is at
-most 4, so that no map grows by much more than e^4; bounded spans are all
-that reinitialisation needs (Kenney and Leipnik, IEEE TAC 30(10), 1985).
-So each block costs one batched product and one batched inverse, not a
-Python step per node.  The state goes forward over the same maps, one block
-at a time.  A coarse output grid takes several steps per interval, each
-within the same bound, and then one step per block.
+on a uniform grid by decoupling (Mattheij, SIAM Rev. 27(1), 1985) in the
+negative-exponential form of Vaughan (IEEE TAC 14(1), 1969).
 
-P vanishes on the unobservable subspace, the largest A-invariant subspace
-in ker [Q; S], and rounding must not feed an unstable mode there into the
-observable part.  So the sweep runs in an orthonormal basis that splits that
-subspace off: P and the observable state x_o are stepped over the
-Hamiltonian restricted to (x_o, lam), in which x_o sees no unobservable
-state, and the unobservable state x_u over the full forward map.
+Two orthonormal splits come first.  The unobservable subspace, the largest
+A-invariant subspace in ker [Q; S], carries a state x_u that nothing else
+sees and on which P vanishes.  The orthogonal complement of the
+controllable subspace, the largest A*-invariant subspace in ker R, carries
+a costate lam_w that feeds no state.  The core z = (x_o, lam_c, 1) is
+closed; x_u and lam_w are driven by it, x_u forward from x0 and lam_w
+backward from its terminal value, so rounding feeds no unobserved or
+uncontrollable unstable mode into the core.
+
+One real Schur form of the core's Hamiltonian, reordered both ways, splits
+it into a group F, its eigenvalues with real part below a cut in
+[-4/t1, 0), and a group B, the rest.  Every core solution is
+V_F e^{t T_F} a + V_B e^{-(t1 - t) T_B} b, neither exponential grows by
+much more than e^4, and no step count depends on t1 or ||H||.  At
+tau = t1 - t the solutions that meet the terminal condition are
+V_F y + V_B e^{-tau T_B} beta c over e^{tau T_F} y = alpha c, [alpha; beta]
+being [I; S] in the two bases, and P maps their x rows to their lam rows.
+Where alpha is well conditioned c = alpha^-1 e^{tau T_F} y (Vaughan);
+otherwise the constraint is bordered with the x rows, which needs neither
+the convergence condition nor stabilizability.  Where no input reaches the
+state at all (lam_c is empty), z = (x_o, 1) is simply stepped forward and
+P and w are exact sums over the steps.  x and w come from one boundary
+system, the exponentials at the nodes are powers of one step
+(``flow_maps``), and x_u and lam_w are stepped from node to node by Van
+Loan block exponentials of one interval.
 """
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsen
 
 from .errors import NumericalError
 from .linalg import expm, rank_cut
 
-# largest span, length times ||H||_1, of one flow map: the maps' growth
-# e^{span} stays small, so the sweep loses no digits on long horizons
-_MAX_STEP_NORM = 4.0
-# most steps in one block, so that the stack of maps stays small
-_MAX_BLOCK = 256
+# largest condition number of alpha for Vaughan's form, whose P is about
+# cond(alpha) eps off; the bordered solve stays accurate beyond it
+_MAX_COND = 1e4
+# largest |P| taken from the first solve; above it the problem is rescaled
+_MAX_P = 1e3
 
 
-def _null_basis(m, scale):
+def _null_basis(m, scale=None):
     """Orthonormal basis of the numerical kernel of m: the right singular
-    vectors whose singular values are at most the rank cut times scale.
-    Also returns the smallest singular value kept above the cut, relative
-    to scale (inf when none is kept)."""
+    vectors whose singular values are at most the rank cut times scale
+    (by default the norm of m).  Also returns the smallest singular value
+    kept above the cut, relative to scale (inf when none is kept)."""
     _, sv, vt = np.linalg.svd(m)
+    if scale is None:
+        scale = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > rank_cut(m.shape) * scale))
     gap = sv[rank - 1] / scale if rank else np.inf
     return vt[rank:].T, gap
 
 
-def _unobservable_basis(a, q, s):
-    """Orthonormal basis of the largest a-invariant subspace in ker [q; s]:
+def _unobservable_basis(a, m, a_norm):
+    """Orthonormal basis of the largest a-invariant subspace in ker m:
     shrink the kernel to the part that a maps back into it until it is
-    invariant (at most d rounds).  Also returns the rank gap of the split:
-    the smallest singular value, relative to its scale, that any round kept
-    as observable (inf when none)."""
-    m = np.vstack([q, s])
-    basis, gap = _null_basis(m, np.linalg.norm(m, 2))
-    scale = np.linalg.norm(a, 2)
+    invariant (at most d rounds), the rank cut relative to a_norm, the
+    2-norm of a.  Also returns the rank gap of the split: the smallest
+    singular value, relative to its scale, that any round kept out of it
+    (inf when none)."""
+    basis, gap = _null_basis(m)
     while basis.shape[1]:
         moved = a @ basis
-        keep, kept_gap = _null_basis(moved - basis @ (basis.T @ moved), scale)
+        keep, kept_gap = _null_basis(moved - basis @ (basis.T @ moved),
+                                     a_norm)
         gap = min(gap, kept_gap)
         if keep.shape[1] == basis.shape[1]:
             break
@@ -67,26 +79,115 @@ def _unobservable_basis(a, q, s):
     return basis, gap
 
 
+def _completed(basis):
+    """Orthonormal basis of the whole space whose trailing columns span
+    ``basis``."""
+    if not basis.shape[1]:
+        return np.eye(len(basis))
+    return np.linalg.qr(basis, mode="complete")[0][:, ::-1]
+
+
 def flow_maps(step, count):
-    """The maps step^1, ..., step^count of a uniform grid, (count, n, n),
-    from the one-step map by doubling: step^(i + j) = step^i step^j."""
-    maps = np.empty((count,) + step.shape)
-    maps[0] = step
-    done = 1
-    while done < count:
-        more = min(done, count - done)
-        maps[done:done + more] = maps[:more] @ maps[done - 1]
+    """The maps step^0, ..., step^count of a uniform grid, (count + 1, n,
+    n), from the one-step map by doubling: step^(i + j) = step^i step^j."""
+    maps = np.empty((count + 1,) + step.shape)
+    maps[0] = np.eye(len(step))
+    maps[1:2] = step
+    done = 2
+    while done <= count:
+        more = min(done - 1, count + 1 - done)
+        maps[done:done + more] = maps[1:more + 1] @ maps[done - 1]
         done += more
     return maps
 
 
-def _affine_map(ham, t):
-    """expm(t ham) of an augmented Hamiltonian whose last row is zero, with
-    its affine row set to the exact [0 ... 0 1]."""
-    e = expm(t * ham)
-    e[-1] = 0.0
-    e[-1, -1] = 1.0
-    return e
+def _scan(step, forcing):
+    """The recursion s_0 = f_0, s_i = step s_(i-1) + f_i over the first axis
+    of ``forcing`` (vectors or matrices), by doubling: s_i is the sum over
+    j <= i of step^(i-j) f_j."""
+    sums, shift = forcing.copy(), 1
+    while shift < len(sums):
+        sums[shift:] += _times(step, sums[:-shift])
+        step, shift = step @ step, 2 * shift
+    return sums
+
+
+def _sandwich_sums(g, left, right):
+    """The sums sum over j < m of left[j] g right[j], m = 0, ..., count,
+    from the power stacks of the two maps, by doubling:
+    s_(a+b) = s_a + left[a] s_b right[a]."""
+    sums = np.zeros((len(left),) + g.shape)
+    sums[1:2] = g
+    done = 2
+    while done < len(left):
+        more = min(done - 1, len(left) - done)
+        sums[done:done + more] = (sums[done - 1] + left[done - 1]
+                                  @ sums[1:more + 1] @ right[done - 1])
+        done += more
+    return sums
+
+
+def _times(left, right):
+    """The product of each matrix of a stack (count, ., .) and a matrix or
+    vector, or of a matrix and each matrix or vector of a stack, as one
+    matrix product; numpy's stacked products of small matrices cost several
+    times more."""
+    if left.ndim == 3:
+        flat = left.reshape(len(left) * left.shape[1], left.shape[2]) @ right
+        return flat.reshape(left.shape[:2] + right.shape[1:])
+    if right.ndim == 2:
+        return right @ left.T
+    return np.moveaxis(np.tensordot(left, right, (1, 1)), 0, 1)
+
+
+def _van_loan(a, k, t, h):
+    """int_0^h e^{(h - s) a} k e^{s t} ds, one block exponential (Van
+    Loan, IEEE TAC 23(3), 1978)."""
+    block = np.zeros((len(a) + len(t),) * 2)
+    block[:len(a), :len(a)], block[:len(a), len(a):] = a, k
+    block[len(a):, len(a):] = t
+    return expm(h * block)[:len(a), len(a):]
+
+
+def _forward_integral(a, k, t, h):
+    """int_0^h e^{s a} k e^{s t} ds, both exponentials forward in s, by
+    scaling and squaring: on a step h / 2^j on which h a and h t are small
+    one Van Loan block gives it, and J(2 delta) = J(delta) + e^{delta a}
+    J(delta) e^{delta t} doubles the step, so that neither e^{-h a} nor
+    e^{-h t} is formed."""
+    norm = h * max(np.abs(a).sum(axis=0).max(initial=0.0),
+                   np.abs(t).sum(axis=0).max(initial=0.0))
+    halvings = max(0, int(np.ceil(np.log2(max(norm, 1e-300)))) + 1)
+    delta = h / 2.0 ** halvings
+    e_a, e_t = expm(delta * a), expm(delta * t)
+    integral = e_a @ _van_loan(-a, k, t, delta)
+    for _ in range(halvings):
+        integral = integral + e_a @ integral @ e_t
+        e_a, e_t = e_a @ e_a, e_t @ e_t
+    return integral
+
+
+def _split(ham, t1):
+    """Ordered Schur bases and blocks (V_F, T_F, V_B, T_B) of ham, the cut
+    in the middle of the widest gap between the real parts in [-4/t1, 0):
+    one real Schur form, reordered each way by LAPACK's trsen."""
+    try:
+        t, z = sla.schur(ham)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Schur form failed: {exc}") from exc
+    # the diagonal of a standardized 2 x 2 block holds its real part
+    re, low = np.diag(t), -4.0 / t1
+    ends = np.sort(np.append(re[(re > low) & (re < 0.0)], [low, 0.0]))
+    gaps = np.diff(ends)
+    forward = re < ends[np.argmax(gaps)] + 0.5 * np.max(gaps)
+    blocks = []
+    for select in (forward, ~forward):
+        t_s, z_s, *_, info = dtrsen(select, t, z, job="N")
+        if info:
+            raise NumericalError(f"Schur reordering failed (info {info})")
+        count = int(np.sum(select))
+        blocks += [z_s[:, :count], t_s[:count, :count]]
+    return blocks
 
 
 def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None):
@@ -95,109 +196,186 @@ def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None):
 
     Returns (nodes, P, w, x, gap): the ascending nodes, the (grid, d, d)
     Riccati samples, the (grid, d) feedforward samples, when ``x0`` is given
-    the (grid, d) state samples (otherwise None), and the rank gap of the
-    unobservable split (see ``_unobservable_basis``).
+    the (grid, d) state samples (otherwise None), and the smaller rank gap
+    of the two splits (see ``_unobservable_basis``).
+
+    Where P comes out large, the problem is solved once more in the
+    coordinates x = D xi, lam = D^-1 mu, D diagonal with D P D at most
+    one on its diagonal: the x rows of the orthonormal Schur bases carry
+    about eps ||P|| relative error, and P = D^-1 P_xi D^-1 keeps its digits.
     """
+    nodes, ps, ws, xs, gap = _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0)
+    if np.abs(ps).max(initial=0.0) <= _MAX_P:
+        return nodes, ps, ws, xs, gap
+    diag = np.sqrt(np.maximum(np.abs(ps).max(axis=0).diagonal(), 1.0))
+    outer = np.outer(diag, diag)
+    _, ps, ws, xs, _ = _dichotomy(
+        a * diag[:, None] / diag, r * outer, q / outer, s / outer, g * diag,
+        c / diag, w_end / diag, t1, grid, None if x0 is None else x0 * diag)
+    return (nodes, ps * outer, ws * diag,
+            None if xs is None else xs / diag, gap)
+
+
+def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
+    """``sweep`` in the given coordinates."""
     if grid < 2:
         raise ValueError("grid must have at least 2 nodes")
     if not t1 > 0.0:
         raise ValueError("t1 must be positive")
     d = a.shape[0]
-    u_basis, gap = _unobservable_basis(a, q, s)
-    k = u_basis.shape[1]
-    do = d - k
-    # the orthonormal basis v = [v_o, v_u]; the identity when everything is
-    # observable
-    v = (np.linalg.qr(u_basis, mode="complete")[0][:, ::-1] if k
-         else np.eye(d))
-    v_o = v[:, :do]
-    a_v = v.T @ a @ v
-    a_v[:do, do:] = 0.0                      # x_o' sees no x_u
-    q_v = np.zeros((d, d))
-    q_v[:do, :do] = v_o.T @ q @ v_o
+    a_norm = np.linalg.norm(a, 2)
+    x_split, gap_x = _unobservable_basis(a, np.vstack([q, s]), a_norm)
+    lam_split, gap_lam = _unobservable_basis(a.T, r, a_norm)
+    do, dc = d - x_split.shape[1], d - lam_split.shape[1]
+    # x = v (x_o, x_u) and lam = u (lam_c, lam_w); x_o sees no x_u, lam_c
+    # no lam_w, Q no x_u and R no lam_w
+    v, u = _completed(x_split), _completed(lam_split)
+    a_v, a_u = v.T @ a @ v, u.T @ a.T @ u
+    a_v[:do, do:] = 0.0
+    a_u[:dc, dc:] = 0.0
     ham = np.zeros((2 * d + 1, 2 * d + 1))
-    ham[:d, :d], ham[:d, d:2 * d], ham[:d, -1] = a_v, -v.T @ r @ v, v.T @ g
-    ham[d:2 * d, :d], ham[d:2 * d, d:2 * d], ham[d:2 * d, -1] = (
-        -q_v, -a_v.T, v.T @ c)
+    ham[:d, :d] = a_v
+    ham[:d, d:d + dc] = -v.T @ r @ u[:, :dc]
+    ham[d:2 * d, :do] = -u.T @ q @ v[:, :do]
+    ham[d:2 * d, d:2 * d] = -a_u
+    ham[:d, -1], ham[d:2 * d, -1] = v.T @ g, u.T @ c
+    # the terminal condition lam(t1) = s_z z(t1) on z = (x_o, lam_c, 1)
+    core = np.r_[0:do, d:d + dc, 2 * d]
+    s_z = np.hstack([u.T @ s @ v[:, :do], np.zeros((d, dc)),
+                     (u.T @ w_end)[:, None]])
+    s_c, s_w = s_z[:dc], s_z[dc:]
 
-    # Steps of length h, with h ||H_o||_1 <= _MAX_STEP_NORM (m steps per
-    # output interval), grouped into blocks of at most `span` steps whose
-    # span obeys the same bound.  Every node of a block is one exact map
-    # Phi(-ih) = expm(-ih H_o) away from the block's top node.
-    obs = np.r_[0:do, d:2 * d + 1]
-    ham_o = ham[np.ix_(obs, obs)]
-    norm = np.linalg.norm(ham_o, 1)
-    m = max(1, int(np.ceil(t1 / (grid - 1) * norm / _MAX_STEP_NORM)))
-    steps = (grid - 1) * m
-    h = t1 / steps
-    span = min(steps, _MAX_BLOCK)
-    if norm:
-        span = min(span, max(1, int(_MAX_STEP_NORM // (h * norm))))
-    e = _affine_map(ham_o, -h)
-    e[do + do:-1, :2 * do] = 0.0             # lam_u sees neither x_o nor lam_o
-    phi = flow_maps(e, span)[:, :-1]
-    tops = range(steps, 0, -span)
-
-    # backward over (x_o, lam, 1): with lam(top) = P x_o(top) + w,
-    # Phi(-ih) [I 0; P w; 0 1] = [X xa; Y b] gives x_o(top - ih) =
-    # X x_o(top) + xa and lam(top - ih) = Y x_o(top) + b, so that
-    # P(top - ih) = Y X^-1 and w(top - ih) = b - P xa: one batched product
-    # and one batched inverse per block.  Forming Y X^-1 keeps the tiny
-    # entries of P along a nearly unobservable unstable mode accurate: solving
-    # X* P = Y* instead put x of F = [1e-10, sqrt 3] on the 2x2 running
-    # example at t1 = 40 up to 4e-6 off.
-    ps = np.empty((steps + 1, do, do))
-    ws = np.empty((steps + 1, d))
-    xm = np.empty((steps, do, do + 1))       # [X xa] from each node's top
-    x_inv = np.empty((steps, do, do))
-    ps[-1] = v_o.T @ s @ v_o
-    ws[-1] = v.T @ w_end
-    aug = np.zeros((do + d + 1, do + 1))
-    aug[:do, :do] = np.eye(do)
-    aug[-1, -1] = 1.0
+    n, h, steps = len(core), t1 / (grid - 1), grid - 1
+    if dc:
+        v_f, t_f, v_b, t_b = _split(ham[np.ix_(core, core)], t1)
+    else:
+        # no input reaches the state: z = (x_o, 1) is stepped forward, and
+        # lam = lam_w = P x + w follows by the exact sums below
+        v_f, t_f = np.eye(n), ham[np.ix_(core, core)]
+        v_b, t_b = np.zeros((n, 0)), np.zeros((0, 0))
+    # (alpha, beta): the terminal subspace z = (x_o, s_c z, 0) in the bases
+    z1 = np.zeros((n, do))
+    z1[:do] = np.eye(do)
+    z1[do:-1] = s_c[:, :do]
     try:
-        for top in tops:
-            lo = top - min(span, top)
-            aug[do:2 * do, :do] = ps[top]
-            aug[do:-1, -1] = ws[top]
-            img = phi[:top - lo] @ aug
-            xm[lo:top] = img[::-1, :do]
-            x_inv[lo:top] = np.linalg.inv(xm[lo:top, :, :do])
-            p = img[::-1, do:2 * do, :do] @ x_inv[lo:top]
-            ps[lo:top] = 0.5 * (p + p.transpose(0, 2, 1))
-            ws[lo:top] = img[::-1, do:, do]
-            ws[lo:top, :do] -= (ps[lo:top] @ xm[lo:top, :, do:])[..., 0]
+        alpha, beta = np.split(np.linalg.solve(np.hstack([v_f, v_b]), z1),
+                               [v_f.shape[1]])
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"backward sweep failed: {exc}") from exc
-    if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(ws))):
-        raise NumericalError("backward sweep became non-finite")
+        raise NumericalError(f"Schur basis is singular: {exc}") from exc
+    n_f = len(t_f)
+    vaughan = do and n_f == do and np.linalg.cond(alpha) <= _MAX_COND
+    gen = np.zeros((n, n))
+    gen[:n_f, :n_f], gen[n_f:, n_f:] = h * t_f, -h * t_b
+    maps = flow_maps(expm(gen), steps)
+    e_f, e_b = maps[:, :n_f, :n_f], maps[:, n_f:, n_f:]
 
-    nodes = np.linspace(0.0, t1, grid)
-    p_out = v_o @ ps[::m] @ v_o.T
+    # lam_w over one interval from its end, driven by the core's modes:
+    # lam_w(t) = ew lam_w(t + h) + gw_f y_F(t) + gw_b y_B(t + h); its rows
+    # of the terminal family at tau = m h are lam_w = mw_m y + lw_m c
+    kw = d - dc
+    lam_ww, k_w = ham[d + dc:2 * d, d + dc:2 * d], ham[d + dc:2 * d, core]
+    ew, gw_f, gw_b = np.eye(kw), np.zeros((kw, n_f)), np.zeros((kw, n - n_f))
+    mw, lw = np.zeros((grid, kw, n_f)), np.zeros((grid, kw, do))
+    if kw:
+        ew = expm(-h * lam_ww)
+        gw_f = -_forward_integral(-lam_ww, k_w @ v_f, t_f, h)
+        gw_b = -_van_loan(-lam_ww, k_w @ v_b, -t_b, h)
+        ew_pows = flow_maps(ew, steps)
+        mw = (_sandwich_sums(gw_f, ew_pows, e_f)
+              + ew_pows @ (s_w @ v_f) @ e_f)
+        lw = _scan(ew, np.concatenate([(s_w @ v_b @ beta)[None],
+                                       _times(gw_b, _times(e_b[:-1], beta))]))
+
+    # P maps the x_o rows of the terminal family to its (lam_c, lam_w) rows
+    try:
+        if not dc:
+            p_tau = mw[:, :, :do]            # the family is y = (x_o, 0)
+        elif not do:
+            p_tau = np.zeros((grid, d, 0))
+        elif vaughan:
+            # Vaughan: c = alpha^-1 e^{tau T_F} y leaves y free, and
+            # P* = X^-* L* over the rows [X; L] of V_F + V_B gamma y (and of
+            # mw y + lw c for lam_w)
+            c_of_y = np.linalg.inv(alpha)
+            gamma = _times(e_b, beta @ c_of_y) @ e_f
+            rows_t = v_f[:-1].T + _times(gamma.transpose(0, 2, 1), v_b[:-1].T)
+            if kw:
+                c_of_y = c_of_y @ e_f
+                rows_t = np.concatenate(
+                    [rows_t, (mw + lw @ c_of_y).transpose(0, 2, 1)], axis=2)
+            p_tau = np.linalg.solve(rows_t[:, :, :do], rows_t[:, :, do:])
+            p_tau = p_tau.transpose(0, 2, 1)
+        else:
+            # (y, c) on the null space of [e^{tau T_F}, -alpha], bordered so
+            # that the x rows are the identity; one step of refinement makes
+            # it componentwise accurate (Skeel, Math. Comp. 35(151), 1980)
+            fam = np.empty((grid, n - 1 + kw, n_f + do))
+            fam[:, :n - 1, :n_f] = v_f[:-1]
+            fam[:, :n - 1, n_f:] = _times(v_b[:-1], _times(e_b, beta))
+            fam[:, n - 1:, :n_f], fam[:, n - 1:, n_f:] = mw, lw
+            bordered = np.empty((grid, do + n_f, n_f + do))
+            bordered[:, :do] = fam[:, :do]
+            bordered[:, do:, :n_f], bordered[:, do:, n_f:] = e_f, -alpha
+            inv = np.linalg.inv(bordered)
+            p_tau = fam[:, do:] @ inv
+            p_tau += (fam[:, do:] - p_tau @ bordered) @ inv
+            p_tau = p_tau[:, :, :do]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dichotomy solve failed: {exc}") from exc
+    ps = p_tau[::-1]                         # ascending t, rows (lam_c, lam_w)
+    ps[-1] = s_z[:, :do]                     # the terminal weight itself
+
+    # the core solutions from x0 and from 0, on which lam = w, by the
+    # boundary system (x_o, 1) at 0 and lam_c - s_c z at t1 for (a, b), its
+    # rows and then its columns equilibrated
+    z0 = v.T @ (np.zeros(d) if x0 is None else x0)
+    bnd = np.empty((n, n))
+    bnd[:do + 1] = np.hstack([v_f, v_b @ e_b[-1]])[np.r_[0:do, n - 1]]
+    bnd[do + 1:] = (np.hstack([-s_c[:, :do], np.eye(dc), -s_c[:, -1:]])
+                    @ np.hstack([v_f @ e_f[-1], v_b]))
+    rhs = np.zeros((n, 2))
+    rhs[:do, 0], rhs[do] = z0[:do], 1.0
+    rows = np.abs(bnd).max(axis=1, keepdims=True) + np.finfo(float).tiny
+    cols = np.abs(bnd / rows).max(axis=0)
+    try:
+        ab = np.linalg.solve(bnd / rows / cols, rhs / rows) / cols[:, None]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dichotomy boundary system is singular: {exc}"
+                             ) from exc
+    # (solution, node, mode), ascending t
+    y_f = np.moveaxis(_times(e_f, ab[:n_f]), 2, 0).copy()
+    y_b = np.moveaxis(_times(e_b, ab[n_f:]), 2, 0)[:, ::-1].copy()
+    zs = y_f @ v_f.T + y_b @ v_b.T
+
+    lams = zs[1, :, do:-1]
+    if kw:
+        # lam_w backward from s_w z(t1), stepped as above, from 0
+        lw_forcing = np.vstack([s_w @ zs[1, -1], y_f[1, -2::-1] @ gw_f.T
+                                + y_b[1, :0:-1] @ gw_b.T])
+        lams = np.hstack([lams, _scan(ew, lw_forcing)[::-1]])
+    ws = (lams - np.einsum("tij,tj->ti", ps, zs[1, :, :do])) @ u.T
+    p_out = ps
+    if do < d or dc < d:
+        # back from the split bases; P vanishes on the unobservable subspace
+        # from either side, so the rows along it are dropped, not rounded
+        p_out = _times(v[:, :do], _times(v[:, :do].T @ u, ps) @ v[:, :do].T)
     p_out = 0.5 * (p_out + p_out.transpose(0, 2, 1))
-    w_out = ws[::m] @ v.T
+    if not (np.all(np.isfinite(p_out)) and np.all(np.isfinite(ws))):
+        raise NumericalError("dichotomy solution became non-finite")
     if x0 is None:
-        return nodes, p_out, w_out, None, gap
+        return np.linspace(0.0, t1, grid), p_out, ws, None, min(gap_x, gap_lam)
 
-    # forward, block by block: x_o at the top node through X^-1 of the
-    # bottom node, the nodes below it by the block's maps; x_u over the full
-    # forward maps Phi(ih) = expm(ih H) from the bottom node, fed with
-    # lam = P x_o + w there
-    z = np.empty((steps + 1, d))
-    z[0] = v.T @ x0
-    psi = flow_maps(_affine_map(ham, h), span)[:, do:d] if k else None
-    for top in reversed(tops):
-        lo = top - min(span, top)
-        z[top, :do] = x_inv[lo] @ (z[lo, :do] - xm[lo, :, do])
-        z[lo + 1:top, :do] = (xm[lo + 1:top, :, :do] @ z[top, :do]
-                              + xm[lo + 1:top, :, do])
-        if k:
-            lam = ws[lo].copy()
-            lam[:do] += ps[lo] @ z[lo, :do]
-            z[lo + 1:top + 1, do:] = psi[:top - lo] @ np.concatenate(
-                [z[lo], lam, [1.0]])
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("forward state pass became non-finite")
-    x_out = z[::m] @ v.T
-    x_out[0] = x0
-    return nodes, p_out, w_out, x_out, gap
+    # x_u forward from x0, driven likewise:
+    # x_u(t + h) = eu x_u(t) + gu_f y_F(t) + gu_b y_B(t + h)
+    xs = zs[0, :, :do]
+    if do < d:
+        a_uu, k_u = ham[do:d, do:d], ham[do:d, core]
+        gu_f = _van_loan(a_uu, k_u @ v_f, t_f, h)
+        gu_b = _forward_integral(a_uu, k_u @ v_b, -t_b, h)
+        xu_forcing = np.vstack([z0[do:], y_f[0, :-1] @ gu_f.T
+                                + y_b[0, 1:] @ gu_b.T])
+        xs = np.hstack([xs, _scan(expm(h * a_uu), xu_forcing)])
+    xs = np.vstack([x0, xs[1:] @ v.T])
+    if not np.all(np.isfinite(xs)):
+        raise NumericalError("dichotomy solution became non-finite")
+    return np.linspace(0.0, t1, grid), p_out, ws, xs, min(gap_x, gap_lam)

@@ -2,7 +2,7 @@
 semi-explicit descriptor plants: the optimal-trajectory pipeline, the
 steady state, the state decomposition around it and turnpike diagnostics,
 all shared by both plant kinds, and for standard plants the feedforward
-closed forms, cross-checked against the exact sweep of ``integrate``.
+closed forms, cross-checked against the exact solve of ``integrate``.
 """
 
 import logging
@@ -22,7 +22,8 @@ _DIP_FRACTION = 0.05
 _C_HAT_INFLATION = 1.05
 _MIN_FIT_SAMPLES = 4
 _MIN_TURNPIKE_GRID = 16
-# below this rank gap of the unobservable split a trajectory carries a note
+# below this rank gap of the kernel's unobservable or uncontrollable split
+# a trajectory carries a note
 _RANK_GAP_WARN = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -59,7 +60,7 @@ class FeedforwardTrajectory:
     w: np.ndarray            # closed-form w_h + w_p per node
     w_h: np.ndarray
     w_p: np.ndarray
-    w_integrated: np.ndarray  # the sweep's w, the cross-check
+    w_integrated: np.ndarray  # the kernel's w, the cross-check
     max_discrepancy: float
 
 
@@ -160,7 +161,7 @@ def steady_state(plant, are, y_c):
 def feedforward(delta, y_c, y_e, t1, grid=101):
     """Feedforward w = w_h + w_p of a standard plant (d = n) by the closed
     forms of ``delta`` at every node at once, cross-checked against the
-    backward (P, w) sweep of ``optimal_trajectory`` on the same grid.  With
+    w of ``optimal_trajectory`` (``integrate.sweep``) on the same grid.  With
     e = e^{tau A+}, tau = t1 - t, and W, S~ at tau (W_inf = Wbar):
 
         w_h = -e* (I - S~ W) F* y_e,
@@ -181,8 +182,7 @@ def feedforward(delta, y_c, y_e, t1, grid=101):
     ts = np.linspace(0.0, t1, grid)
     ap, w_inf, ident = g.A_plus, delta.gram_bar.W, np.eye(n)
     # e^{tau A+} at the nodes, in descending tau
-    e = np.concatenate([flow_maps(expm((ts[1] - ts[0]) * ap), grid - 1)[::-1],
-                        ident[None]])
+    e = flow_maps(expm((ts[1] - ts[0]) * ap), grid - 1)[::-1]
     et = e.transpose(0, 2, 1)
     w_tau = delta.gram_bar._of(e)
     s_tau = delta._slide(w_tau, t1 - ts)
@@ -201,8 +201,8 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
     """Solve the affine finite-horizon problem for a standard plant (the
     n2 = 0 case) or a semi-explicit descriptor plant.
 
-    One exact ``integrate.sweep`` of the reduced problem: (P1, w1) backward
-    from P1(t1) = S1, w1(t1) = -F1* y_e under
+    One exact dichotomy solve (``integrate.sweep``) of the reduced problem:
+    (P1, w1) from P1(t1) = S1, w1(t1) = -F1* y_e under
 
         -P1dot = At* P1 + P1 At - P1 Rt P1 + Qt,
         -w1dot = (At - Rt P1)* w1 - P1 G z - c_t,
@@ -247,10 +247,11 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
             f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
     notes = []
     if gap < _RANK_GAP_WARN:
-        note = (f"unobservable split has rank gap {gap:.1e} < sqrt(eps): a "
-                "mode that the state and terminal weights barely see is "
-                "stepped as observable, and a relative change of that size in "
-                "them could split it off and change the trajectory")
+        note = (f"unobservable or uncontrollable split has rank gap "
+                f"{gap:.1e} < sqrt(eps): a mode that the weights barely see "
+                "or the input barely reaches is solved with the rest, and a "
+                "relative change of that size in them could split it off and "
+                "change the trajectory")
         logger.warning(note)
         notes.append(note)
     if np.any(x0[d:]):
@@ -288,7 +289,7 @@ def decompose_state(traj, are, steady):
     lift = np.vstack([np.eye(d), -np.linalg.solve(are.A_p2, are.A_p21)])
     # e^{t Abar} on the uniform grid: the powers of one step's map
     maps = flow_maps(expm((ts[1] - ts[0]) * are.A_bar), ts.size - 1)
-    transient = np.vstack([steady.x_s1, maps @ steady.x_s1]) @ lift.T
+    transient = (maps @ steady.x_s1) @ lift.T
     g = traj.x - x_h - steady.x_s + transient
     return StateDecomposition(grid=ts, x_h=x_h, x_s=steady.x_s,
                               transient=transient, g=g)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,28 @@ class TestDaeOptimalTrajectory:
             assert rel_cost < 1e-4
         assert errs[400] < 1e-3
         assert errs[200] / errs[400] >= 3.0          # second-order refinement
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_near_singular_fast_block_is_cheap(self, eps):
+        # A22 = eps leaves the scalar reduced plant a = -1 - 1/eps with
+        # r = q = s = 1, so ||H||_1 is about 1/eps; the trajectory's cost
+        # must not grow with it, and P1 follows the closed form
+        # (P1 - p+) / (P1 - p-) = C e^{-(p+ - p-) tau}, its roots taken
+        # without cancellation
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[-1.0, 1.0], [1.0, eps]]),
+            B=np.array([[1.0], [0.0]]), C=np.array([[1.0, 0.0]]),
+            F=np.array([[1.0, 0.0]]))
+        start = time.perf_counter()
+        traj = lt.optimal_trajectory(plant, [1.0, 0.0], [1.0], [0.0], 5.0, 41)
+        assert time.perf_counter() - start < 1.0
+        a = -1.0 - 1.0 / eps
+        root = np.sqrt(a * a + 1.0)
+        p_plus, p_minus = 1.0 / (root - a), a - root
+        c = (1.0 - p_plus) / (1.0 - p_minus)
+        decay = c * np.exp(-(p_plus - p_minus) * (5.0 - traj.grid))
+        p1 = p_plus + (p_plus - p_minus) * decay / (1.0 - decay)
+        assert np.max(np.abs(traj.P[:, 0, 0] - p1) / p1) <= 1e-10
 
 
 class TestDaeTurnpikeReport:

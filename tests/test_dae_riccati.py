@@ -127,14 +127,13 @@ class TestFastBlockBranch:
         assert solved >= 6
 
     def test_zero_input_fast_block_family(self):
-        # seed 5, 60 random B2 = 0 descriptor plants, about 0.5 s: whatever
+        # seed 5, 60 random B2 = 0 descriptor plants, under 1 s: whatever
         # the signs of its spectrum, the fast block is solved (one-signed on
         # one branch, mixed by one Bartels-Stewart solve) and matches the
         # standard plant left after eliminating x2 = -A22^{-1} A21 x1.
-        # Draws with a fast eigenvalue within 0.1 of the imaginary axis are
-        # left out: their eliminated plant is stiff (reduced weights up to
-        # 1e6), and the sweep's step count, which grows with ||H||_1, takes
-        # tens of seconds over t1 = 3
+        # Draws with a fast eigenvalue near the imaginary axis (2, 17, 18,
+        # 22, 38, 40, 45, 54, 55 and 59) have a stiff eliminated plant
+        # (reduced weights up to 1e6) and cost no more than the others
         rng = np.random.default_rng(5)
         counts = {"hurwitz": 0, "anti-hurwitz": 0, "mixed": 0}
         for _ in range(60):
@@ -149,8 +148,6 @@ class TestFastBlockBranch:
             x0 = np.concatenate([rng.standard_normal(d), np.zeros(n2)])
             y_c, y_e = rng.standard_normal(k), rng.standard_normal(k)
             re = np.linalg.eigvals(a[d:, d:]).real
-            if np.min(np.abs(re)) < 0.1:
-                continue
             counts["hurwitz" if np.all(re < 0.0) else
                    "anti-hurwitz" if np.all(re > 0.0) else "mixed"] += 1
             slave = -np.linalg.solve(a[d:, d:], a[d:, :d])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import lqturnpike as lt
 import test_coupled_descriptor as coupled
@@ -154,10 +155,10 @@ class TestOptimalTrajectory:
 
     @pytest.mark.parametrize("which", ["fperp", "coupled", "near_fc"])
     def test_grid_independent_at_long_horizon(self, which, abc_fperp):
-        # the sweep steps exact flow maps, so the output grid must not
-        # change the solution at the shared nodes.  near_fc: F = [1e-10,
-        # sqrt 3] barely sees the unstable mode, and P's tiny entries along
-        # it must stay accurate while x1 grows to 1e10
+        # the kernel's exponentials are exact at every node, so the output
+        # grid must not change the solution at the shared nodes.  near_fc:
+        # F = [1e-10, sqrt 3] barely sees the unstable mode, and P's tiny
+        # entries along it must stay accurate while x1 grows to 1e10
         if which == "fperp":
             plant, x0, y_c, y_e = abc_fperp, [1.0, 1.0], [0.0], [1.0]
         elif which == "near_fc":
@@ -177,8 +178,8 @@ class TestOptimalTrajectory:
 
     @pytest.mark.parametrize("plant_name", ["abc_fperp", "abc_fc"])
     def test_coarse_grid_at_long_horizon(self, plant_name, request):
-        # one interval of 20 time units takes several steps, so that the
-        # flow maps stay well scaled; the nodes match a fine grid's
+        # one interval of 20 time units is one step of exponentials that
+        # stay bounded; the nodes match a fine grid's
         plant = request.getfixturevalue(plant_name)
         coarse = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0, 3)
         fine = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0,
@@ -191,8 +192,8 @@ class TestOptimalTrajectory:
     @pytest.mark.parametrize("grid", [21, 101, 2001])
     def test_nondetectable_plant_at_long_horizon(self, grid, abc_fc):
         # F = C leaves the unstable mode of A unobserved: P vanishes on it
-        # while x1 grows like e^{2t}.  Grid 2001 puts many nodes in each
-        # block of the sweep, for P, x_o and the unobserved x_u alike.
+        # while x1 grows like e^{2t}.  The unobserved x_u is stepped from
+        # node to node, driven by the modes of x_o and lam, on every grid.
         y_e, t1 = np.array([1.0]), 40.0
         _, x_ref = _dop853_trajectory(abc_fc, [1.0, 1.0], [0.0], y_e, t1, grid)
         traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], y_e, t1, grid)
@@ -249,6 +250,123 @@ def _dop853_trajectory(plant, x0, y_c, y_e, t1, grid):
 
     ts, x_ref = integrate(forward, x0, 0.0, t1, grid, rtol=1e-13)
     return pw(ts)[:n * n].T.reshape(grid, n, n), x_ref
+
+
+class TestKernelHardCases:
+    """Plants whose Hamiltonian has eigenvalues on the imaginary axis or no
+    stabilizing solution, against closed forms or DOP853."""
+
+    @pytest.mark.parametrize("t1", [10.0, 40.0])
+    def test_centre_eigenvalues(self, t1):
+        # A = 0, B = 1, C = 0, F = 1: H has the double eigenvalue 0, and
+        # P = 1/(1 + tau) steers x = x0 (1 + tau)/(1 + t1)
+        plant = lt.LtiPlant(A=[[0.0]], B=[[1.0]], C=[[0.0]], F=[[1.0]])
+        traj = lt.optimal_trajectory(plant, [2.0], [0.0], [0.0], t1, 101)
+        tau = t1 - traj.grid
+        assert np.max(np.abs(traj.P[:, 0, 0] * (1.0 + tau) - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.x[:, 0] * (1.0 + t1) / (1.0 + tau) - 2.0)
+                      ) <= 1e-12
+        dre = lt.solve_gdre(plant, t1, 101)
+        assert np.max(np.abs(dre.P[:, 0, 0] * (1.0 + tau) - 1.0)) <= 1e-12
+
+    def test_growing_solution_without_stabilizing_one(self):
+        # A = 1, B = 0, C = 1, F = 0: no input, and P = (e^{2 tau} - 1)/2
+        # reaches 2.4e8 at t1 = 10 while x = e^t x0
+        plant = lt.LtiPlant(A=[[1.0]], B=[[0.0]], C=[[1.0]], F=[[0.0]])
+        traj = lt.optimal_trajectory(plant, [1.0], [0.0], [0.0], 10.0, 101)
+        exact = 0.5 * np.expm1(2.0 * (10.0 - traj.grid))
+        assert traj.P[-1, 0, 0] == 0.0
+        assert np.max(np.abs(traj.P[:-1, 0, 0] / exact[:-1] - 1.0)) <= 1e-12
+        assert np.max(np.abs(traj.x[:, 0] / np.exp(traj.grid) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("mu_t1", [15.0, 20.0])
+    def test_uncontrollable_unstable_mode(self, mu_t1):
+        # B = 0 and A = Q diag(mu, -1, 0.3) Q*: the mode mu grows by
+        # e^{mu t1} with no input, so x = e^{tA} x0, and in the eigenbasis
+        # P(t1 - tau) = e^{L tau} S e^{L tau} + int_0^tau e^{L s} Q e^{L s} ds
+        # entry by entry, up to 2e17 at mu t1 = 20
+        rng = np.random.default_rng(3)
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        lam, t1 = np.array([mu_t1 / 10.0, -1.0, 0.3]), 10.0
+        a = rot @ np.diag(lam) @ rot.T
+        c, f = rng.standard_normal((2, 3)), rng.standard_normal((1, 3))
+        plant = lt.LtiPlant(A=a, B=np.zeros((3, 1)), C=c, F=f)
+        x0 = np.array([1.0, -0.5, 0.25])
+        traj = lt.optimal_trajectory(plant, x0, [0.0, 0.0], [0.0], t1, 51)
+        x_ref = np.array([expm(t * a) @ x0 for t in traj.grid])
+        assert np.abs(traj.x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+        rate = lam[:, None] + lam[None, :]
+        weight = (rot.T @ c.T @ c @ rot) * np.expm1(rate * t1) / rate
+        p0 = rot @ (rot.T @ f.T @ f @ rot * np.exp(rate * t1) + weight) @ rot.T
+        assert np.abs(traj.P[0] - p0).max() <= 1e-13 * np.abs(p0).max()
+        assert np.abs(traj.u).max() == 0.0
+
+    def test_weakly_controllable_unstable_mode(self):
+        # B = (1e-4, 1): the unstable mode 2 is barely reached, so P reaches
+        # about 4e8 and u = -B*(P x + w) is a small difference of large
+        # terms; it must still follow DOP853 closely
+        plant = lt.LtiPlant(A=[[2.0, 0.0], [0.0, -1.0]], B=[[1e-4], [1.0]],
+                            C=np.eye(2), F=np.zeros((1, 2)))
+        x0, y_c, t1, grid = [1.0, 1.0], [0.5, -1.0], 10.0, 101
+        a, b, c = plant.A, plant.B, plant.C
+        bbt, cy = b @ b.T, c.T @ np.array(y_c)
+
+        def backward(_t, z):
+            p, w = z[:4].reshape(2, 2), z[4:]
+            pdot = -(a.T @ p + p @ a - p @ bbt @ p + c.T @ c)
+            return np.concatenate([pdot.ravel(), -(a - bbt @ p).T @ w + cy])
+
+        pw = solve_ivp(backward, (t1, 0.0), np.zeros(6), method="DOP853",
+                       rtol=1e-13, atol=1e-15, dense_output=True).sol
+
+        def forward(t, x):
+            z = pw(t)
+            return a @ x - bbt @ (z[:4].reshape(2, 2) @ x + z[4:])
+
+        ts, x_ref = integrate(forward, x0, 0.0, t1, grid, rtol=1e-13)
+        z = pw(ts)
+        u_ref = -np.einsum("ij,tj->ti", b.T, np.einsum(
+            "tij,tj->ti", z[:4].T.reshape(grid, 2, 2), x_ref) + z[4:].T)
+        traj = lt.optimal_trajectory(plant, x0, y_c, [0.0], t1, grid)
+        assert np.abs(traj.P).max() > 1e8
+        assert np.abs(traj.u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+
+    def test_unobserved_unstable_mode_leaves_u_alone(self, abc_fc):
+        # F = C misses the mode 2 of A, which grows to e^{80} at t1 = 40:
+        # P vanishes on it exactly, so u and the cost are those of the
+        # observed scalar plant x2' = -x2 + u alone
+        traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], [1.0], 40.0)
+        scalar = lt.LtiPlant(A=[[-1.0]], B=[[1.0]], C=[[SQRT3]], F=[[SQRT3]])
+        ref = lt.optimal_trajectory(scalar, [1.0], [0.0], [1.0], 40.0)
+        assert np.all(traj.P[:, 0, :] == 0.0) and np.all(traj.P[:, :, 0] == 0.0)
+        assert np.abs(traj.u - ref.u).max() <= 1e-12
+        assert abs(traj.cost - ref.cost) <= 1e-12 * ref.cost
+
+    @pytest.mark.parametrize("a", [[[1.0]], [[-1.0, 0.0], [0.0, -2.0]],
+                                   [[0.0, 1.0], [-2.0, -3.0]]])
+    def test_nothing_observed(self, a):
+        # C = 0 and F = 0 leave every mode unobserved: P = 0, u = 0 and
+        # x = e^{tA} x0, with no observable part left for the dichotomy
+        n = len(a)
+        plant = lt.LtiPlant(A=a, B=np.ones((n, 1)), C=np.zeros((1, n)),
+                            F=np.zeros((1, n)))
+        traj = lt.optimal_trajectory(plant, np.ones(n), [0.0], [0.0], 5.0, 11)
+        x_ref = np.array([expm(t * np.array(a)) @ np.ones(n)
+                          for t in traj.grid])
+        assert np.abs(traj.P).max() == 0.0
+        assert np.abs(traj.u).max() == 0.0
+        assert np.abs(traj.x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+    @pytest.mark.parametrize("grid", [101, 401])
+    def test_undamped_oscillator(self, grid):
+        # C = 0 leaves H with the double pair +-i on the imaginary axis
+        plant = lt.LtiPlant(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]],
+                            C=[[0.0, 0.0]], F=np.eye(2))
+        x0, y_e = [1.0, 1.0], [0.0, 0.0]
+        p_ref, x_ref = _dop853_trajectory(plant, x0, [0.0], y_e, 40.0, grid)
+        traj = lt.optimal_trajectory(plant, x0, [0.0], y_e, 40.0, grid)
+        assert np.abs(traj.P - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+        assert np.abs(traj.x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
 class TestDecomposeState:
