@@ -2,8 +2,11 @@
 algebraic Riccati solvers, rank and spectral helpers.
 
 The solvers are scipy's Schur-based routines: ``scipy.linalg.expm``,
-Bartels-Stewart ``solve_continuous_lyapunov`` and an ordered real Schur form
-(``scipy.linalg.schur``) of the Hamiltonian for the Riccati equation.
+Bartels-Stewart (LAPACK trsyl) on one real Schur form of the coefficient
+matrix (``real_schur``), whose diagonal also decides the Hurwitz check and
+which a caller that already holds it passes in, and an ordered real Schur
+form (``scipy.linalg.schur``) of the Hamiltonian for the Riccati equation,
+whose eigenvalues are read off that form.
 Everything operates on plain 2-D numpy arrays of float64.  All functions are
 pure; solvers validate their own contracts (residual bounds, stability of the
 closed loop) before returning.
@@ -15,6 +18,8 @@ semidefinite, and ``rank_svd`` and ``is_singular`` cut singular values at
 computed eigenvalue, which is accurate to about sqrt(eps) relative, cuts at
 ``EIG_RANK_CUT`` instead.
 """
+
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -121,37 +126,82 @@ def rank_svd(m):
     return int(np.sum(sv > rank_cut(a.shape) * sv[0]))
 
 
+def real_schur(a):
+    """Real Schur form (T, Z) of a square matrix, A = Z T Z*: one LAPACK
+    gees, whose 2x2 diagonal blocks are standardized to [[r, b], [c, r]]
+    with b c < 0, so the diagonal of T holds the real parts of the
+    eigenvalues."""
+    try:
+        return sla.schur(a, output="real")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"real Schur decomposition failed: {exc}") from exc
+
+
+def schur_abscissa(t):
+    """Spectral abscissa read off a real Schur factor T."""
+    return float(np.max(np.diag(t), initial=-np.inf))
+
+
+def schur_eigvals(t):
+    """Eigenvalues read off a real Schur factor T: the diagonal, and
+    r +- i sqrt(|b|) sqrt(|c|) at each standardized 2x2 block, as LAPACK's
+    dlanv2 forms them."""
+    lam = np.diag(t).astype(complex)
+    k = np.flatnonzero(np.diag(t, -1))
+    im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+    lam[k] += 1j * im
+    lam[k + 1] -= 1j * im
+    return lam
+
+
 def solve_lyapunov(a_stable, q_sym):
     """Solve ``A X + X A* + Q = 0`` for symmetric X by the Bartels-Stewart
     method (real Schur form of A, then a quasi-triangular Sylvester solve;
     O(n^3) time, O(n^2) memory).
 
-    ``A`` must be Hurwitz; Q is symmetrized on input.
+    ``A`` must be Hurwitz, which the diagonal of its Schur form decides;
+    Q is symmetrized on input.
     """
     a = as_matrix(a_stable, "A")
-    q = as_matrix(q_sym, "Q")
     _require_square(a, "A")
+    return hurwitz_lyapunov(a, q_sym, real_schur(a))
+
+
+def hurwitz_lyapunov(a, q_sym, schur):
+    """``solve_lyapunov`` on a validated square A whose real Schur form
+    (T, Z) is given: refused as ``stability`` where the diagonal of T has
+    an entry >= 0."""
+    q = as_matrix(q_sym, "Q")
     _require_square(q, "Q")
     n = a.shape[0]
     if q.shape[0] != n:
         raise DimensionError(f"Q has shape {q.shape}, expected {(n, n)}")
     if n == 0:
         return np.zeros((0, 0))
-    if spectral_abscissa(a) >= 0.0:
+    if schur_abscissa(schur[0]) >= 0.0:
         raise AssumptionViolation(
             "stability", "Lyapunov solve requires a Hurwitz coefficient matrix")
-    return bartels_stewart(a, q)
+    return bartels_stewart(a, q, schur)
 
 
-def bartels_stewart(a, q):
-    """Symmetric X with ``A X + X A* + Q = 0`` by scipy's Bartels-Stewart
-    solve, its residual checked; the caller makes sure that no two
-    eigenvalues of A sum to zero.  Q is symmetrized on input."""
+def bartels_stewart(a, q, schur):
+    """Symmetric X with ``A X + X A* + Q = 0`` from the real Schur form
+    ``schur`` = (T, Z) of A, its residual checked; the caller makes sure
+    that no two eigenvalues of A sum to zero.  Q is symmetrized on input.
+    The Sylvester solve on T (LAPACK trsyl) and the back-transform are the
+    steps of scipy's ``solve_continuous_lyapunov``, so X is the same to the
+    bit."""
     q = sym(q)
-    try:
-        x = sym(sla.solve_continuous_lyapunov(a, -q))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Bartels-Stewart solve failed: {exc}") from exc
+    t, z = schur
+    f = z.T.dot((-q).dot(z))
+    y, scale, info = sla.lapack.dtrsyl(t, t, f, tranb="T")
+    if info < 0:
+        raise NumericalError(f"trsyl argument {-info} is illegal")
+    if info == 1:
+        warnings.warn("two eigenvalues of A sum to zero to working precision; "
+                      "trsyl perturbed them", RuntimeWarning, stacklevel=2)
+    y *= scale
+    x = sym(z.dot(y).dot(z.T))
     resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
     if resid > RESIDUAL_TOL * (1.0 + np.linalg.norm(x, "fro")):
         raise NumericalError(
@@ -214,10 +264,10 @@ def solve_are_q(a, bbt, q):
     ham = np.block([[a, -bbt], [-q, -a.T]])
     try:
         t, z, n_stable = sla.schur(ham, output="real", sort="lhp")
-        eigvals = np.linalg.eigvals(t)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Hamiltonian Schur decomposition failed: {exc}") from exc
 
+    eigvals = schur_eigvals(t)
     on_axis = np.abs(eigvals.real) <= 1e-9 * (1.0 + np.abs(eigvals))
     if np.any(on_axis):
         raise AssumptionViolation(

@@ -2,8 +2,9 @@
 on the blocks that E = diag(I_d, 0) guarantees: pencil regularity, impulse
 controllability (rank [A22, B2] = n - d), impulse-freeness (A22 invertible),
 terminal-weight compatibility, and stabilizability of the finite dynamics
-(the ``finite_dynamics_stable`` flag: a Hautus test at the finite pencil
-eigenvalues that QZ finds).
+(the ``finite_dynamics_stable`` flag: a Hautus test, one SVD at each
+unstable real finite pencil eigenvalue that QZ finds and one per complex
+conjugate pair).
 """
 
 from dataclasses import dataclass, field
@@ -188,12 +189,15 @@ def _finite_dynamics_stabilizable(e, a, b):
     """Hautus test at the unstable finite eigenvalues of the regular pencil
     sE - A, found by QZ: rank [lam E - A, B] == n for every finite lam with
     Re lam >= 0, where rank < n means sigma_min <= ``EIG_RANK_CUT`` x
-    max(1, sigma_max), the accuracy of a computed eigenvalue."""
+    max(1, sigma_max), the accuracy of a computed eigenvalue.  Real QZ
+    returns a complex pair as conjugates to within rounding, and
+    [conj(lam) E - A, B] is the conjugate of [lam E - A, B], with the same
+    singular values, so only the member with Im lam > 0 is tested."""
     n = e.shape[0]
     alpha, beta = sla.eigvals(a, e, homogeneous_eigvals=True)
     finite = np.abs(beta) > rank_cut((n, n)) * np.abs(alpha)
     for lam in alpha[finite] / beta[finite]:
-        if lam.real < 0.0:
+        if lam.real < 0.0 or lam.imag < 0.0:
             continue
         sv = np.linalg.svd(np.hstack([lam * e - a, b]), compute_uv=False)
         if sv[-1] <= EIG_RANK_CUT * max(1.0, sv[0]):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import lqturnpike as lt
 from lqturnpike.dae_riccati import gare_residual, gdre_fd_residual
@@ -435,3 +436,51 @@ class TestDecoupledClosedLoop:
             # and it is U(t) U(r)^{-1}
             assert np.abs(f_tr @ delta.U(r, 10.0)
                           - delta.U(t, 10.0)).max() / scale < 1e-8
+
+
+def _random_gare(rng, descriptor):
+    n = 12 if descriptor else 9
+    d = n - 3 if descriptor else n
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a[d:, d:] -= 1.5 * np.eye(n - d)
+    b = rng.standard_normal((n, 2))
+    c = rng.standard_normal((2, n))
+    c[:, d:] *= 0.1
+    f = np.zeros((2, n))
+    f[:, :d] = rng.standard_normal((2, d))
+    e = np.zeros((n, n))
+    e[:d, :d] = np.eye(d)
+    return lt.solve_gare(lt.DescriptorPlant(E=e, A=a, B=b, C=c, F=f))
+
+
+class TestSharedSchurForms:
+    """``solve_gare`` takes one real Schur form of Abar, from which
+    ``lambda_bar`` is read and ``gramians`` solves W."""
+
+    @pytest.mark.parametrize("descriptor", [False, True],
+                             ids=["standard", "descriptor"])
+    def test_gramian_is_scipys_solve(self, descriptor):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            g = _random_gare(rng, descriptor)
+            w = lt.gramians(g, g.B_bar).W
+            bbt = g.B_bar @ g.B_bar.T
+            x = sla.solve_continuous_lyapunov(g.A_bar, -0.5 * (bbt + bbt.T))
+            assert np.array_equal(w, 0.5 * (x + x.T))
+
+    @pytest.mark.parametrize("descriptor", [False, True],
+                             ids=["standard", "descriptor"])
+    def test_lambda_bar_is_the_spectral_abscissa(self, descriptor):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            g = _random_gare(rng, descriptor)
+            t, z = g.A_bar_schur
+            assert np.abs(z @ t @ z.T - g.A_bar).max() < 1e-12 * (
+                1.0 + np.abs(g.A_bar).max())
+            lam = np.linalg.eigvals(g.A_bar)
+            assert g.lambda_bar == pytest.approx(np.max(lam.real), abs=1e-10)
+            assert g.lambda_bar < 0.0
+
+    def test_gramian_rows_checked(self, gare_ref):
+        with pytest.raises(lt.DimensionError, match="^Q has shape"):
+            lt.gramians(gare_ref, np.ones((3, 1)))

@@ -85,6 +85,21 @@ class TestLyapunov:
         with pytest.raises(AssumptionViolation):
             lt.solve_lyapunov([[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("re, rotated", [(1e-3, True), (0.0, False)],
+                             ids=["unstable", "on_axis"])
+    def test_complex_pair_refused(self, re, rotated):
+        # the Hurwitz check reads the real part of the pair re +- 3i off the
+        # diagonal of the standardized 2x2 Schur block.  The unstable pair
+        # is rotated; the pair on the axis is not, since a rotation leaves
+        # its computed real part at about +-1e-16
+        a = np.array([[re, 3.0, 1.0], [-3.0, re, 2.0], [0.0, 0.0, -1.0]])
+        if rotated:
+            q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+            a = q @ a @ q.T
+        with pytest.raises(AssumptionViolation) as err:
+            lt.solve_lyapunov(a, np.eye(3))
+        assert err.value.assumption == "stability"
+
 
 class TestAre:
     def test_scalar_zero_weight(self):

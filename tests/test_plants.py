@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import lqturnpike as lt
 from lqturnpike.errors import DimensionError
+from lqturnpike.linalg import EIG_RANK_CUT
 
 
 def _random_semi_explicit(rng, d, n2, m):
@@ -226,3 +228,92 @@ class TestStructuralReport:
         rep = lt.structural_report(plant)
         assert rep.regular and rep.impulse_controllable and rep.impulse_free
         assert rep.finite_dynamics_stable and rep.f_compatible
+
+
+def _hautus_stabilizable(e, a, b):
+    """rank [lam E - A, B] == n at every finite eigenvalue with Re lam >= 0,
+    tested at both members of each complex pair; the members must agree."""
+    lam = sla.eigvals(a, e)
+    lam = lam[np.isfinite(lam)]
+    verdict = {}
+    for mu in lam[lam.real >= 0.0]:
+        sv = np.linalg.svd(np.hstack([mu * e - a, b]), compute_uv=False)
+        verdict[mu] = bool(sv[-1] > EIG_RANK_CUT * max(1.0, sv[0]))
+    for mu, ok in verdict.items():
+        if mu.imag != 0.0:
+            partner = min(verdict, key=lambda nu: abs(nu - np.conj(mu)))
+            assert abs(partner - np.conj(mu)) <= 1e-12 * (1.0 + abs(mu))
+            assert verdict[partner] == ok, (mu, partner)
+    return all(verdict.values())
+
+
+# the unstable pair 0.5 +- 2i lives on x1, x2, which x3 does not feed
+A_PAIR = np.array([[0.5, 2.0, 0.0], [-2.0, 0.5, 0.0], [0.3, 0.1, -1.0]])
+
+
+def _with_algebraic_row(a, b):
+    """The descriptor plant with one algebraic variable x4 = A21 x + B2 u
+    and no coupling back into x: its finite dynamics are those of (A, B)."""
+    n = a.shape[0]
+    a4 = np.zeros((n + 1, n + 1))
+    a4[:n, :n] = a
+    a4[n, :n] = [0.4, -0.2, 0.7]
+    a4[n, n] = -1.0
+    b4 = np.vstack([b, [[0.5]]])
+    e4 = np.diag([1.0] * n + [0.0])
+    return lt.DescriptorPlant(E=e4, A=a4, B=b4, C=np.zeros((1, n + 1)),
+                              F=np.zeros((1, n + 1)))
+
+
+class TestConjugatePairHautus:
+    @pytest.mark.parametrize("descriptor", [False, True],
+                             ids=["standard", "descriptor"])
+    @pytest.mark.parametrize("column, stabilizable", [(2, False), (0, True)],
+                             ids=["uncontrollable_pair", "controllable_pair"])
+    def test_fixed_unstable_pair(self, descriptor, column, stabilizable):
+        b = np.zeros((3, 1))
+        b[column] = 1.0
+        plant = (_with_algebraic_row(A_PAIR, b) if descriptor else
+                 lt.LtiPlant(A=A_PAIR, B=b, C=np.zeros((1, 3)),
+                             F=np.zeros((1, 3))))
+        assert plant.d == 3
+        rep = lt.structural_report(plant)
+        assert rep.regular and rep.impulse_controllable
+        assert rep.finite_dynamics_stable is stabilizable
+        assert _hautus_stabilizable(plant.E, plant.A, plant.B) is stabilizable
+
+    def test_planted_pair_family(self):
+        # seed 11, 120 plants with n = 4..8, d = n, n - 1 or n - 2 and a
+        # planted unstable complex pair, rotated by orthogonal block
+        # transforms that keep E = diag(I_d, 0); in every other plant
+        # neither an input nor another state reaches the pair
+        rng = np.random.default_rng(11)
+        for k in range(120):
+            n = int(rng.integers(4, 9))
+            d = n - int(rng.integers(0, 3))
+            m = int(rng.integers(1, 3))
+            a = rng.standard_normal((n, n)) / np.sqrt(n)
+            a[d:, d:] -= 2.0 * np.eye(n - d)
+            b = rng.standard_normal((n, m))
+            re, im = rng.uniform(0.1, 1.0), rng.uniform(0.5, 3.0)
+            a[:2, :] = 0.0
+            a[:2, :2] = [[re, im], [-im, re]]
+            planted = k % 2 == 0
+            if planted:
+                b[:2] = 0.0
+            else:
+                a[:2, 2:] = rng.standard_normal((2, n - 2)) / np.sqrt(n)
+            q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            q2 = np.linalg.qr(rng.standard_normal((n - d, n - d)))[0]
+            t = sla.block_diag(q1, q2)
+            e = np.zeros((n, n))
+            e[:d, :d] = np.eye(d)
+            a, b = t.T @ a @ t, t.T @ b
+            plant = lt.DescriptorPlant(E=e, A=a, B=b, C=np.zeros((1, n)),
+                                       F=np.zeros((1, n)))
+            rep = lt.structural_report(plant)
+            assert rep.regular, k
+            expected = _hautus_stabilizable(e, a, b)
+            assert rep.finite_dynamics_stable == expected, k
+            # a pair that an input or a coupled state reaches is controllable
+            assert expected is not planted, k
