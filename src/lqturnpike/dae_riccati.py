@@ -27,7 +27,7 @@ from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, bartels_stewart, expm,
                      hurwitz_lyapunov, is_singular, rank_cut, real_schur,
                      schur_abscissa, schur_eigvals, solve_are_q, sym)
 from .plants import (check_F_compatible, check_impulse_controllable,
-                     check_pencil_regular)
+                     check_pencil_regular, structural_report)
 
 
 @dataclass(frozen=True)
@@ -359,11 +359,21 @@ def solve_gare(plant):
     """Stabilizing solution of the algebraic Riccati equation of either
     plant kind via the block reduction: P1 is the stabilizing solution of
     the reduced equation, whose closed loop At - Rt P1 is Abar and whose
-    input G is Bbar; the assembled P+ has its residual checked."""
+    input G is Bbar; the assembled P+ has its residual checked.  A failed
+    reduced solve whose slow dynamics are not stabilizable (X11 singular to
+    rounding) is refused as ``stabilizing-solution``."""
     part, p2, red = _reduce(plant)
     d = part.d
 
-    p1 = solve_are_q(red.A_t, red.R_t, red.Q_t)
+    try:
+        p1 = solve_are_q(red.A_t, red.R_t, red.Q_t)
+    except NumericalError as exc:
+        if structural_report(plant).finite_dynamics_stable:
+            raise
+        raise AssumptionViolation(
+            "stabilizing-solution", "slow dynamics are not stabilizable (an "
+            "unstable mode is out of the input's reach), so X11 is singular "
+            f"to rounding: {exc}") from exc
     p_plus = _full_P(red, p1, p2)
 
     resid = gare_residual(plant, p_plus)

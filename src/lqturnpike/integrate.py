@@ -15,9 +15,10 @@ closed; x_u and lam_w are driven by it, x_u forward from x0 and lam_w
 backward from its terminal value, so rounding feeds no unobserved or
 uncontrollable unstable mode into the core.
 
-One real Schur form of the core's Hamiltonian, reordered both ways, splits
-it into a group F, its eigenvalues with real part below a cut in
-[-4/t1, 0), and a group B, the rest.  Every core solution is
+One real Schur form of the core's Hamiltonian (``linalg.real_schur``),
+reordered both ways (``linalg.ordered_basis``), splits it into a group F,
+its eigenvalues with real part below a cut in [-4/t1, 0), and a group B,
+the rest.  Every core solution is
 V_F e^{t T_F} a + V_B e^{-(t1 - t) T_B} b, neither exponential grows by
 much more than e^4, and no step count depends on t1 or ||H||.  At
 tau = t1 - t the solutions that meet the terminal condition are
@@ -29,16 +30,15 @@ the convergence condition nor stabilizability.  Where no input reaches the
 state at all (lam_c is empty), z = (x_o, 1) is simply stepped forward and
 P and w are exact sums over the steps.  x and w come from one boundary
 system, the exponentials at the nodes are powers of one step
-(``flow_maps``), and x_u and lam_w are stepped from node to node by Van
-Loan block exponentials of one interval.
+(``flow_maps``), and x_u and lam_w, and the lam_w rows of the terminal
+family, are stepped from node to node by Van Loan block exponentials of
+one interval, each sum one doubling recursion (``_scan``).
 """
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.lapack import dtrsen
 
 from .errors import NumericalError
-from .linalg import expm, rank_cut
+from .linalg import expm, ordered_basis, rank_cut, real_schur
 
 # largest condition number of alpha for Vaughan's form, whose P is about
 # cond(alpha) eps off; the bordered solve stays accurate beyond it
@@ -101,29 +101,17 @@ def flow_maps(step, count):
     return maps
 
 
-def _scan(step, forcing):
-    """The recursion s_0 = f_0, s_i = step s_(i-1) + f_i over the first axis
-    of ``forcing`` (vectors or matrices), by doubling: s_i is the sum over
-    j <= i of step^(i-j) f_j."""
+def _scan(left, forcing, right=None):
+    """The recursion s_0 = f_0, s_i = L s_(i-1) R + f_i over the first axis
+    of ``forcing`` (vectors or matrices; R = I when ``right`` is None), by
+    doubling: s_i is the sum over j <= i of L^(i-j) f_j R^(i-j)."""
     sums, shift = forcing.copy(), 1
     while shift < len(sums):
-        sums[shift:] += _times(step, sums[:-shift])
-        step, shift = step @ step, 2 * shift
-    return sums
-
-
-def _sandwich_sums(g, left, right):
-    """The sums sum over j < m of left[j] g right[j], m = 0, ..., count,
-    from the power stacks of the two maps, by doubling:
-    s_(a+b) = s_a + left[a] s_b right[a]."""
-    sums = np.zeros((len(left),) + g.shape)
-    sums[1:2] = g
-    done = 2
-    while done < len(left):
-        more = min(done - 1, len(left) - done)
-        sums[done:done + more] = (sums[done - 1] + left[done - 1]
-                                  @ sums[1:more + 1] @ right[done - 1])
-        done += more
+        moved = _times(left, sums[:-shift])
+        if right is not None:
+            moved, right = _times(moved, right), right @ right
+        sums[shift:] += moved
+        left, shift = left @ left, 2 * shift
     return sums
 
 
@@ -170,24 +158,14 @@ def _forward_integral(a, k, t, h):
 def _split(ham, t1):
     """Ordered Schur bases and blocks (V_F, T_F, V_B, T_B) of ham, the cut
     in the middle of the widest gap between the real parts in [-4/t1, 0):
-    one real Schur form, reordered each way by LAPACK's trsen."""
-    try:
-        t, z = sla.schur(ham)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Schur form failed: {exc}") from exc
+    one real Schur form, reordered each way."""
+    schur = real_schur(ham)
     # the diagonal of a standardized 2 x 2 block holds its real part
-    re, low = np.diag(t), -4.0 / t1
+    re, low = np.diag(schur[0]), -4.0 / t1
     ends = np.sort(np.append(re[(re > low) & (re < 0.0)], [low, 0.0]))
     gaps = np.diff(ends)
     forward = re < ends[np.argmax(gaps)] + 0.5 * np.max(gaps)
-    blocks = []
-    for select in (forward, ~forward):
-        t_s, z_s, *_, info = dtrsen(select, t, z, job="N")
-        if info:
-            raise NumericalError(f"Schur reordering failed (info {info})")
-        count = int(np.sum(select))
-        blocks += [z_s[:, :count], t_s[:count, :count]]
-    return blocks
+    return (*ordered_basis(schur, forward), *ordered_basis(schur, ~forward))
 
 
 def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None):
@@ -271,20 +249,23 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
 
     # lam_w over one interval from its end, driven by the core's modes:
     # lam_w(t) = ew lam_w(t + h) + gw_f y_F(t) + gw_b y_B(t + h); its rows
-    # of the terminal family at tau = m h are lam_w = mw_m y + lw_m c
+    # of the terminal family at tau = m h are lam_w = mw_m y + lw_m c, so
+    # [mw, lw]_m = ew [mw, lw]_(m-1) diag(e^{h T_F}, I) + [gw_f, gw_b
+    # e^{-(m-1) h T_B} beta], from s_w [V_F, V_B beta]
     kw = d - dc
     lam_ww, k_w = ham[d + dc:2 * d, d + dc:2 * d], ham[d + dc:2 * d, core]
-    ew, gw_f, gw_b = np.eye(kw), np.zeros((kw, n_f)), np.zeros((kw, n - n_f))
-    mw, lw = np.zeros((grid, kw, n_f)), np.zeros((grid, kw, do))
+    rows_w = np.zeros((grid, kw, n_f + do))
     if kw:
         ew = expm(-h * lam_ww)
         gw_f = -_forward_integral(-lam_ww, k_w @ v_f, t_f, h)
         gw_b = -_van_loan(-lam_ww, k_w @ v_b, -t_b, h)
-        ew_pows = flow_maps(ew, steps)
-        mw = (_sandwich_sums(gw_f, ew_pows, e_f)
-              + ew_pows @ (s_w @ v_f) @ e_f)
-        lw = _scan(ew, np.concatenate([(s_w @ v_b @ beta)[None],
-                                       _times(gw_b, _times(e_b[:-1], beta))]))
+        rows_w[0] = np.hstack([s_w @ v_f, s_w @ v_b @ beta])
+        rows_w[1:, :, :n_f] = gw_f
+        rows_w[1:, :, n_f:] = _times(gw_b, _times(e_b[:-1], beta))
+        right = np.eye(n_f + do)
+        right[:n_f, :n_f] = e_f[1]
+        rows_w = _scan(ew, rows_w, right)
+    mw, lw = rows_w[:, :, :n_f], rows_w[:, :, n_f:]
 
     # P maps the x_o rows of the terminal family to its (lam_c, lam_w) rows
     try:
@@ -312,7 +293,7 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
             fam = np.empty((grid, n - 1 + kw, n_f + do))
             fam[:, :n - 1, :n_f] = v_f[:-1]
             fam[:, :n - 1, n_f:] = _times(v_b[:-1], _times(e_b, beta))
-            fam[:, n - 1:, :n_f], fam[:, n - 1:, n_f:] = mw, lw
+            fam[:, n - 1:] = rows_w
             bordered = np.empty((grid, do + n_f, n_f + do))
             bordered[:, :do] = fam[:, :do]
             bordered[:, do:, :n_f], bordered[:, do:, n_f:] = e_f, -alpha

@@ -4,9 +4,10 @@ algebraic Riccati solvers, rank and spectral helpers.
 The solvers are scipy's Schur-based routines: ``scipy.linalg.expm``,
 Bartels-Stewart (LAPACK trsyl) on one real Schur form of the coefficient
 matrix (``real_schur``), whose diagonal also decides the Hurwitz check and
-which a caller that already holds it passes in, and an ordered real Schur
-form (``scipy.linalg.schur``) of the Hamiltonian for the Riccati equation,
-whose eigenvalues are read off that form.
+which a caller that already holds it passes in, and for the Riccati
+equation that form of the Hamiltonian, its eigenvalues read off it,
+reordered by LAPACK trsen (``ordered_basis``), the two steps by which the
+dichotomy kernel of ``integrate`` splits its Hamiltonian too.
 Everything operates on plain 2-D numpy arrays of float64.  All functions are
 pure; solvers validate their own contracts (residual bounds, stability of the
 closed loop) before returning.
@@ -137,6 +138,18 @@ def real_schur(a):
         raise NumericalError(f"real Schur decomposition failed: {exc}") from exc
 
 
+def ordered_basis(schur, select):
+    """Leading Schur vectors and block (Z1, T11) of the real Schur form
+    ``schur`` = (T, Z) reordered by LAPACK's trsen so that the eigenvalues
+    marked by ``select`` (one flag per diagonal entry, equal on each 2x2
+    block) come first: Z1 spans their invariant subspace."""
+    t_s, z_s, *_, info = sla.lapack.dtrsen(select, *schur, job="N")
+    if info:
+        raise NumericalError(f"Schur reordering failed (info {info})")
+    count = int(np.sum(select))
+    return z_s[:, :count], t_s[:count, :count]
+
+
 def schur_abscissa(t):
     """Spectral abscissa read off a real Schur factor T."""
     return float(np.max(np.diag(t), initial=-np.inf))
@@ -170,7 +183,7 @@ def solve_lyapunov(a_stable, q_sym):
 def hurwitz_lyapunov(a, q_sym, schur):
     """``solve_lyapunov`` on a validated square A whose real Schur form
     (T, Z) is given: refused as ``stability`` where the diagonal of T has
-    an entry >= 0."""
+    an entry >= -rank_cut x ||A||_1, zero to rounding."""
     q = as_matrix(q_sym, "Q")
     _require_square(q, "Q")
     n = a.shape[0]
@@ -178,7 +191,7 @@ def hurwitz_lyapunov(a, q_sym, schur):
         raise DimensionError(f"Q has shape {q.shape}, expected {(n, n)}")
     if n == 0:
         return np.zeros((0, 0))
-    if schur_abscissa(schur[0]) >= 0.0:
+    if schur_abscissa(schur[0]) >= -rank_cut(a.shape) * np.linalg.norm(a, 1):
         raise AssumptionViolation(
             "stability", "Lyapunov solve requires a Hurwitz coefficient matrix")
     return bartels_stewart(a, q, schur)
@@ -261,25 +274,22 @@ def solve_are_q(a, bbt, q):
     if n == 0:
         return np.zeros((0, 0))
 
-    ham = np.block([[a, -bbt], [-q, -a.T]])
-    try:
-        t, z, n_stable = sla.schur(ham, output="real", sort="lhp")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Hamiltonian Schur decomposition failed: {exc}") from exc
-
-    eigvals = schur_eigvals(t)
+    schur = real_schur(np.block([[a, -bbt], [-q, -a.T]]))
+    eigvals = schur_eigvals(schur[0])
     on_axis = np.abs(eigvals.real) <= 1e-9 * (1.0 + np.abs(eigvals))
     if np.any(on_axis):
         raise AssumptionViolation(
             "stabilizing-solution",
             "Hamiltonian has eigenvalues on the imaginary axis")
+    stable = eigvals.real < 0.0
+    n_stable = int(np.sum(stable))
     if n_stable != n:
         raise AssumptionViolation(
             "stabilizing-solution",
             f"stable Hamiltonian subspace has dimension {n_stable}, expected {n}")
 
-    x11 = z[:n, :n]
-    x21 = z[n:, :n]
+    z1 = ordered_basis(schur, stable)[0]
+    x11, x21 = z1[:n], z1[n:]
     sv = np.linalg.svd(x11, compute_uv=False)
     if sv[-1] == 0.0:
         raise AssumptionViolation(

@@ -13,7 +13,7 @@ import numpy as np
 from .dae_riccati import _full_P, _reduce
 from .errors import NumericalError
 from .integrate import flow_maps, sweep
-from .linalg import as_vector, expm
+from .linalg import EIG_RANK_CUT, as_vector, expm
 
 logger = logging.getLogger(__name__)
 
@@ -22,9 +22,6 @@ _DIP_FRACTION = 0.05
 _C_HAT_INFLATION = 1.05
 _MIN_FIT_SAMPLES = 4
 _MIN_TURNPIKE_GRID = 16
-# below this rank gap of the kernel's unobservable or uncontrollable split
-# a trajectory carries a note
-_RANK_GAP_WARN = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
         raise NumericalError(
             f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
     notes = []
-    if gap < _RANK_GAP_WARN:
+    if gap < EIG_RANK_CUT:
         note = (f"unobservable or uncontrollable split has rank gap "
                 f"{gap:.1e} < sqrt(eps): a mode that the weights barely see "
                 "or the input barely reaches is solved with the rest, and a "

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,35 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=rf"s\.json\.{where}:"):
             load_scenario(path)
         assert main(["simulate", str(path)]) == 1
+
+    @pytest.mark.parametrize("data, args, where", [
+        (dict(ODE_SCENARIO, A=5), [], r"s\.json\.A: expected a non-empty"),
+        (dict(ODE_SCENARIO, x0="abc"), [], r"s\.json\.x0: expected a flat"),
+        ([ODE_SCENARIO], [], r"s\.json: top level must be a JSON object"),
+        (dict(ODE_SCENARIO, kind="sde"), [], r"s\.json\.kind: must be"),
+        (dict(ODE_SCENARIO, B=[[1.0]] * 3), [], r"s\.json: B has 3 rows"),
+        (dict(ODE_SCENARIO, grid=1), [], r"s\.json\.grid: expected an"),
+        (dict(ODE_SCENARIO, grid=2.5), [], r"s\.json\.grid: expected an"),
+        (None, [], r"s\.json: cannot read scenario file"),
+        (ODE_SCENARIO, ["--grid", "1"], r"--grid must be >= 2"),
+    ], ids=["A-scalar", "x0-string", "top-level-list", "kind", "B-rows",
+            "grid-one", "grid-float", "missing-file", "grid-option"])
+    def test_refusal_names_file_and_field(self, data, args, where, tmp_path,
+                                          capsys):
+        path = tmp_path / "s.json"
+        if data is not None:
+            path.write_text(json.dumps(data))
+        assert main(["simulate", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(where, err)
+
+    def test_omitted_vectors_default_to_zeros(self, tmp_path):
+        data = {key: val for key, val in ODE_SCENARIO.items()
+                if key not in ("x0", "y_c", "y_e")}
+        sc = load_scenario(_write(tmp_path, "s.json", data))
+        for vec, size in ((sc.x0, 2), (sc.y_c, 1), (sc.y_e, 1)):
+            assert np.array_equal(vec, np.zeros(size))
 
     def test_json_error_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -127,6 +127,29 @@ class TestFastBlockBranch:
                 assert _relative_gap(got, expect) <= 1e-10
         assert solved >= 6
 
+    def test_both_branches_refused(self):
+        # the fast block (x2, x3, x4) has the undamped pair +-i in (x2, x3),
+        # which neither B2 nor C2 sees: its Hamiltonian has eigenvalues on
+        # the axis for A22 and -A22 alike, while every structural flag holds
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0, 0.0, 0.0]),
+            A=[[-1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0],
+               [0.0, -1.0, 0.0, 0.0], [0.3, 0.0, 0.0, -1.0]],
+            B=[[1.0], [0.0], [0.0], [1.0]], C=[[1.0, 0.0, 0.0, 1.0]],
+            F=[[1.0, 0.0, 0.0, 0.0]])
+        rep = lt.structural_report(plant)
+        assert all((rep.regular, rep.impulse_controllable, rep.impulse_free,
+                    rep.finite_dynamics_stable, rep.f_compatible))
+        for solve in (lambda: lt.solve_gare(plant),
+                      lambda: lt.solve_gdre(plant, 5.0, 11),
+                      lambda: lt.optimal_trajectory(
+                          plant, [1.0, 0.0, 0.0, 0.0], [0.0], [0.0], 5.0, 11)):
+            with pytest.raises(AssumptionViolation) as err:
+                solve()
+            assert err.value.assumption == "fast-block"
+            assert "(stabilizing: " in str(err.value)
+            assert "; anti-stabilizing: " in str(err.value)
+
     def test_zero_input_fast_block_family(self):
         # seed 5, 60 random B2 = 0 descriptor plants, under 1 s: whatever
         # the signs of its spectrum, the fast block is solved (one-signed on
@@ -307,6 +330,62 @@ class TestSolveGare:
                           - red.R_t).max() < 1e-10 * scale
             assert np.abs(gare.K2 - gare.A_p2.T).max() < 1e-10 * scale
         assert solved >= 8
+
+
+def _unreachable_unstable(rng, n, m):
+    """A rotated pair (A, B) whose trailing block, with its rightmost
+    eigenvalue's real part in [0.1, 1], no input reaches."""
+    nu = int(rng.integers(1, n))
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a[n - nu:, :n - nu] = 0.0
+    blk = a[n - nu:, n - nu:]
+    blk += (rng.uniform(0.1, 1.0)
+            - np.linalg.eigvals(blk).real.max()) * np.eye(nu)
+    b = np.vstack([rng.standard_normal((n - nu, m)), np.zeros((nu, m))])
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return rot @ a @ rot.T, rot @ b
+
+
+class TestUnreachableUnstableMode:
+    """An unstable mode that no input reaches leaves no stabilizing
+    solution; the reduced ARE's X11 is then singular only to rounding, and
+    the refusal names the assumption, not the conditioning."""
+
+    def test_plant(self):
+        # the eigenvalue 1 of A has left eigenvector orthogonal to B
+        plant = lt.LtiPlant(
+            A=[[-0.424, 0.768, -0.4], [1.068, 0.424, 0.3], [-0.2, 0.4, -0.7]],
+            B=[[-0.8], [0.6], [0.5]], C=[[1.0, 1.0, 0.0]], F=[[0.0, 1.0, 1.0]])
+        assert not lt.structural_report(plant).finite_dynamics_stable
+        with pytest.raises(AssumptionViolation) as err:
+            lt.solve_gare(plant)
+        assert err.value.assumption == "stabilizing-solution"
+        assert "not stabilizable" in str(err.value)
+
+    @pytest.mark.parametrize("descriptor", [False, True],
+                             ids=["standard", "descriptor"])
+    def test_rotated_family(self, descriptor):
+        # a descriptor plant carries the planted pair as its slow dynamics
+        # behind a coupled fast block, A22 Hurwitz and C2 = 0, so P2 = 0
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            d, m, k = int(rng.integers(2, 8)), 1 + int(rng.integers(2)), 2
+            n2 = int(rng.integers(1, 4)) if descriptor else 0
+            a_s, b_s = _unreachable_unstable(rng, d, m)
+            a12 = rng.standard_normal((d, n2))
+            a21 = rng.standard_normal((n2, d))
+            a22 = -np.eye(n2) + 0.1 * rng.standard_normal((n2, n2))
+            b2 = rng.standard_normal((n2, m))
+            lift = a12 @ np.linalg.inv(a22)
+            a = np.block([[a_s + lift @ a21, a12], [a21, a22]])
+            b = np.vstack([b_s + lift @ b2, b2])
+            c, f = (np.hstack([rng.standard_normal((k, d)), np.zeros((k, n2))])
+                    for _ in range(2))
+            plant = _descriptor(a, b, c, f, d)
+            assert not lt.structural_report(plant).finite_dynamics_stable
+            with pytest.raises(AssumptionViolation) as err:
+                lt.solve_gare(plant)
+            assert err.value.assumption == "stabilizing-solution"
 
 
 class TestSolveGdre:

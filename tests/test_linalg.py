@@ -85,16 +85,19 @@ class TestLyapunov:
         with pytest.raises(AssumptionViolation):
             lt.solve_lyapunov([[1.0]], [[1.0]])
 
-    @pytest.mark.parametrize("re, rotated", [(1e-3, True), (0.0, False)],
-                             ids=["unstable", "on_axis"])
-    def test_complex_pair_refused(self, re, rotated):
+    @pytest.mark.parametrize("re, seed", [(1e-3, 5), (0.0, None), (0.0, 0),
+                                          (0.0, 4)],
+                             ids=["unstable", "on_axis", "on_axis_rotated_0",
+                                  "on_axis_rotated_4"])
+    def test_complex_pair_refused(self, re, seed):
         # the Hurwitz check reads the real part of the pair re +- 3i off the
-        # diagonal of the standardized 2x2 Schur block.  The unstable pair
-        # is rotated; the pair on the axis is not, since a rotation leaves
-        # its computed real part at about +-1e-16
+        # diagonal of the standardized 2x2 Schur block, rotated by the
+        # seed's orthogonal factor.  A rotation leaves the pair on the axis
+        # at about -1e-16 (seeds 0 and 4), within rounding of zero
         a = np.array([[re, 3.0, 1.0], [-3.0, re, 2.0], [0.0, 0.0, -1.0]])
-        if rotated:
-            q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
             a = q @ a @ q.T
         with pytest.raises(AssumptionViolation) as err:
             lt.solve_lyapunov(a, np.eye(3))

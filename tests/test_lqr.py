@@ -331,6 +331,28 @@ class TestKernelHardCases:
         assert np.abs(traj.P).max() > 1e8
         assert np.abs(traj.u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
 
+    def test_vaughan_form_with_uncontrollable_costate(self):
+        # B = (0, 1)*: no input reaches the stable mode -1, whose costate
+        # feeds no state and is stepped outside the core, while alpha stays
+        # well conditioned, so P takes Vaughan's form with those rows added
+        plant = lt.LtiPlant(A=np.diag([-1.0, 1.0]), B=[[0.0], [1.0]],
+                            C=np.eye(2), F=np.eye(2))
+        x0, y_c, y_e, t1, grid = [1.0, 1.0], [0.5, -0.5], [1.0, 0.0], 10.0, 101
+        a, bbt, cy = plant.A, plant.B @ plant.B.T, np.array(y_c)
+
+        def backward(_t, pw):
+            p, w = pw[:2], pw[2]
+            pdot = -(a.T @ p + p @ a - p @ bbt @ p + np.eye(2))
+            return np.vstack([pdot, -(a - bbt @ p).T @ w + cy])
+
+        _, pw_ref = integrate(backward, np.vstack([np.eye(2), -np.array(y_e)]),
+                              t1, 0.0, grid, rtol=1e-13)
+        p_ref, w_ref = pw_ref[::-1, :2], pw_ref[::-1, 2]
+        _, x_ref = _dop853_trajectory(plant, x0, y_c, y_e, t1, grid)
+        traj = lt.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
+        for got, ref in ((traj.P, p_ref), (traj.w, w_ref), (traj.x, x_ref)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_unobserved_unstable_mode_leaves_u_alone(self, abc_fc):
         # F = C misses the mode 2 of A, which grows to e^{80} at t1 = 40:
         # P vanishes on it exactly, so u and the cost are those of the
