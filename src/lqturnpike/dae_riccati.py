@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolation, NumericalError, SingularBracketError
-from .integrate import sweep
 from .linalg import (PSD_SLACK, RESIDUAL_TOL, as_matrix, bartels_stewart, expm,
                      hurwitz_lyapunov, is_singular, rank_cut, real_schur,
                      schur_abscissa, schur_eigvals, solve_are_q, sym)
@@ -407,18 +406,16 @@ def gare_residual(plant, p):
 
 
 def solve_gdre(plant, t1, grid=101):
-    """Backward Riccati solve of either plant kind: the reduced equation in
-    the differential block from P1(t1) = S1 by the exact dichotomy solve
-    (``integrate.sweep`` with zero affine terms), the coupling block slaved
-    algebraically and the fast block constant.  No algebraic Riccati
-    equation is solved, so plants whose slow dynamics cannot be stabilized
-    get their solution too."""
-    part, p2, red = _reduce(plant)
-    zero = np.zeros(part.d)
-    ts, p1s, _, _, _ = sweep(red.A_t, red.R_t, red.Q_t, part.S1, zero, zero,
-                             zero, t1, grid)
-    return GdreSolution(t1=float(t1), grid=ts, P=_full_P(red, p1s, p2),
-                        d=part.d)
+    """Backward Riccati solve of either plant kind: the P of
+    ``lqr.optimal_trajectory`` from x0 = 0 with y_c = y_e = 0, the reduced
+    equation from P1(t1) = S1 by its exact dichotomy solve, the coupling
+    block slaved algebraically and the fast block constant.  No algebraic
+    Riccati equation is solved, so plants whose slow dynamics cannot be
+    stabilized get their solution too."""
+    from .lqr import optimal_trajectory   # lqr imports this module
+    traj = optimal_trajectory(plant, np.zeros(plant.n), np.zeros(plant.k),
+                              np.zeros(plant.F.shape[0]), t1, grid)
+    return GdreSolution(t1=float(t1), grid=traj.grid, P=traj.P, d=traj.d)
 
 
 def gdre_fd_residual(dre, plant):

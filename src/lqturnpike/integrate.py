@@ -32,7 +32,9 @@ P and w are exact sums over the steps.  x and w come from one boundary
 system, the exponentials at the nodes are powers of one step
 (``flow_maps``), and x_u and lam_w, and the lam_w rows of the terminal
 family, are stepped from node to node by Van Loan block exponentials of
-one interval, each sum one doubling recursion (``_scan``).
+one interval, each sum one doubling recursion (``_scan``).  Every request,
+a Riccati flow alone included, enters through ``lqr.optimal_trajectory``,
+so each is validated, checked and noted the same way.
 """
 
 import numpy as np
@@ -168,30 +170,29 @@ def _split(ham, t1):
     return (*ordered_basis(schur, forward), *ordered_basis(schur, ~forward))
 
 
-def sweep(a, r, q, s, g, c, w_end, t1, grid, x0=None):
-    """Solve the boundary-value problem above on ``grid`` uniform nodes from
-    0 to t1.
+def sweep(a, r, q, s, g, c, w_end, t1, grid, x0):
+    """Solve the boundary-value problem above from ``x0`` on ``grid``
+    uniform nodes from 0 to t1.
 
     Returns (nodes, P, w, x, gap): the ascending nodes, the (grid, d, d)
-    Riccati samples, the (grid, d) feedforward samples, when ``x0`` is given
-    the (grid, d) state samples (otherwise None), and the smaller rank gap
-    of the two splits (see ``_unobservable_basis``).
+    Riccati samples, the (grid, d) feedforward and state samples, and the
+    smallest rank gap of the splits (see ``_unobservable_basis``).
 
     Where P comes out large, the problem is solved once more in the
     coordinates x = D xi, lam = D^-1 mu, D diagonal with D P D at most
     one on its diagonal: the x rows of the orthonormal Schur bases carry
     about eps ||P|| relative error, and P = D^-1 P_xi D^-1 keeps its digits.
+    That pass decides its splits anew; the gap is the smaller of both's.
     """
     nodes, ps, ws, xs, gap = _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0)
     if np.abs(ps).max(initial=0.0) <= _MAX_P:
         return nodes, ps, ws, xs, gap
     diag = np.sqrt(np.maximum(np.abs(ps).max(axis=0).diagonal(), 1.0))
     outer = np.outer(diag, diag)
-    _, ps, ws, xs, _ = _dichotomy(
+    _, ps, ws, xs, gap_d = _dichotomy(
         a * diag[:, None] / diag, r * outer, q / outer, s / outer, g * diag,
-        c / diag, w_end / diag, t1, grid, None if x0 is None else x0 * diag)
-    return (nodes, ps * outer, ws * diag,
-            None if xs is None else xs / diag, gap)
+        c / diag, w_end / diag, t1, grid, x0 * diag)
+    return nodes, ps * outer, ws * diag, xs / diag, min(gap, gap_d)
 
 
 def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
@@ -309,7 +310,7 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
     # the core solutions from x0 and from 0, on which lam = w, by the
     # boundary system (x_o, 1) at 0 and lam_c - s_c z at t1 for (a, b), its
     # rows and then its columns equilibrated
-    z0 = v.T @ (np.zeros(d) if x0 is None else x0)
+    z0 = v.T @ x0
     bnd = np.empty((n, n))
     bnd[:do + 1] = np.hstack([v_f, v_b @ e_b[-1]])[np.r_[0:do, n - 1]]
     bnd[do + 1:] = (np.hstack([-s_c[:, :do], np.eye(dc), -s_c[:, -1:]])
@@ -341,10 +342,6 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
         # from either side, so the rows along it are dropped, not rounded
         p_out = _times(v[:, :do], _times(v[:, :do].T @ u, ps) @ v[:, :do].T)
     p_out = 0.5 * (p_out + p_out.transpose(0, 2, 1))
-    if not (np.all(np.isfinite(p_out)) and np.all(np.isfinite(ws))):
-        raise NumericalError("dichotomy solution became non-finite")
-    if x0 is None:
-        return np.linspace(0.0, t1, grid), p_out, ws, None, min(gap_x, gap_lam)
 
     # x_u forward from x0, driven likewise:
     # x_u(t + h) = eu x_u(t) + gu_f y_F(t) + gu_b y_B(t + h)
@@ -357,6 +354,7 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
                                 + y_b[0, 1:] @ gu_b.T])
         xs = np.hstack([xs, _scan(expm(h * a_uu), xu_forcing)])
     xs = np.vstack([x0, xs[1:] @ v.T])
-    if not np.all(np.isfinite(xs)):
+    if not (np.isfinite(p_out).all() and np.isfinite(ws).all()
+            and np.isfinite(xs).all()):
         raise NumericalError("dichotomy solution became non-finite")
     return np.linspace(0.0, t1, grid), p_out, ws, xs, min(gap_x, gap_lam)

@@ -65,7 +65,8 @@ class OracleSolution:
     kkt_nnz: int           # its stored nonzeros
     kkt_bandwidth: tuple[int, int]   # (kl, ku) of the stage-ordered band
     # descriptor plants: largest change the boundary extrapolation made to
-    # the raw QP controls at nodes 0 and N (None for standard plants)
+    # the raw QP controls at nodes 0 and N (None for standard plants; NaN
+    # where A22 is singular and they keep the raw values, first order in h)
     boundary_u_shift: float | None
 
 
@@ -269,7 +270,7 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
                 us[j] = uj
                 xs[j, d:] = x2j
         except np.linalg.LinAlgError:
-            pass   # singular fast block: keep the raw QP values
+            shift = float("nan")   # singular A22: the raw QP values stay
     else:
         u_times = grid[:-1] + 0.5 * h
     cost = 0.5 * float(hv @ (z[hr] * z[hc])) - float(disc.f @ z) + disc.const

@@ -300,6 +300,24 @@ class TestSolveGare:
             lt.solve_gare(plant)
         assert err.value.assumption == "impulse-controllability"
 
+    def test_singular_pencil_refused(self):
+        # sE - A = diag(s, 0) is singular for every s: the structural report
+        # records it and stops, and every solve refuses it by name
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.zeros((2, 2)),
+            B=np.array([[1.0], [1.0]]), C=np.array([[1.0, 0.0]]),
+            F=np.array([[1.0, 0.0]]))
+        rep = lt.structural_report(plant)
+        assert not rep.regular
+        assert any("remaining checks skipped" in note for note in rep.notes)
+        for solve in (lambda: lt.solve_gare(plant),
+                      lambda: lt.solve_gdre(plant, 5.0),
+                      lambda: lt.optimal_trajectory(plant, [1.0, 0.0], [0.0],
+                                                    [0.0], 5.0)):
+            with pytest.raises(AssumptionViolation) as err:
+                solve()
+            assert err.value.assumption == "regularity"
+
     def test_randomized_reduction_identities(self):
         # on every solvable random instance the reduced closed loop must be
         # the Schur complement of the assembled one

@@ -153,6 +153,19 @@ class TestOptimalTrajectory:
         with pytest.raises(ValueError):
             lt.optimal_trajectory(abc_fperp, [1.0], [0.0], [1.0], 10.0)
 
+    @pytest.mark.parametrize("t1, grid, message", [
+        (5.0, 1, "grid must have at least 2 nodes"),
+        (0.0, 11, "t1 must be positive"), (-1.0, 11, "t1 must be positive")],
+        ids=["grid_1", "t1_0", "t1_negative"])
+    @pytest.mark.parametrize("entry", ["optimal_trajectory", "solve_gdre"])
+    def test_bad_horizon_or_grid(self, entry, t1, grid, message, abc_fperp):
+        calls = {
+            "optimal_trajectory": lambda: lt.optimal_trajectory(
+                abc_fperp, [1.0, 1.0], [0.0], [1.0], t1, grid),
+            "solve_gdre": lambda: lt.solve_gdre(abc_fperp, t1, grid)}
+        with pytest.raises(ValueError, match=message):
+            calls[entry]()
+
     @pytest.mark.parametrize("which", ["fperp", "coupled", "near_fc"])
     def test_grid_independent_at_long_horizon(self, which, abc_fperp):
         # the kernel's exponentials are exact at every node, so the output
@@ -225,6 +238,25 @@ class TestOptimalTrajectory:
             traj = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [1.0], 40.0)
         assert any("rank gap" in note for note in traj.notes) == noted
         assert any("rank gap" in rec.message for rec in caplog.records) == noted
+
+    def test_rank_gap_of_the_rescaled_pass_is_reported(self, caplog):
+        # |P| reaches 5e8, so the kernel solves once more in rescaled
+        # coordinates.  The first pass splits with gap 1.5e-4, the pass
+        # whose solution is returned with gap 1.9e-9 < sqrt(eps): the note
+        # names the smaller.  solve_gdre enters through the same pipeline
+        # and logs it too.
+        plant = lt.LtiPlant(A=np.diag([2.0, -1.0]), B=np.array([[1e-4], [1.0]]),
+                            C=np.eye(2), F=np.zeros((1, 2)))
+        with caplog.at_level("WARNING", logger="lqturnpike.lqr"):
+            traj = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0, 0.0], [0.0],
+                                         10.0)
+        assert np.abs(traj.P).max() > 1e8
+        assert any("rank gap 1.9e-09" in note for note in traj.notes)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="lqturnpike.lqr"):
+            dre = lt.solve_gdre(plant, 10.0)
+        assert np.array_equal(dre.P, traj.P)
+        assert any("rank gap 1.9e-09" in rec.message for rec in caplog.records)
 
 
 def _dop853_trajectory(plant, x0, y_c, y_e, t1, grid):
@@ -470,6 +502,16 @@ class TestTurnpikeReport:
         assert np.isnan(rep.lambda_hat)
         assert not rep.envelope_holds
         assert any("rate not fitted" in note for note in rep.notes)
+
+    def test_short_horizon_has_no_dip(self, abc_fperp, are_abc):
+        # at t1 = 0.5 the two boundary layers overlap: nothing dips in the
+        # middle, so the envelope is not certified
+        steady = lt.steady_state(abc_fperp, are_abc, [0.0])
+        traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0], 0.5)
+        rep = lt.turnpike_report(traj, steady, lam=are_abc.lambda_bar)
+        assert ("mid-horizon state distance does not dip below the boundary "
+                "layers") in rep.notes
+        assert not rep.envelope_holds
 
     def test_coarse_grid_rejected(self, abc_fperp, are_abc):
         steady = lt.steady_state(abc_fperp, are_abc, [0.0])

@@ -70,6 +70,20 @@ class TestAgreement:
                  + sol.u[1:] @ part.B2.T)
         assert np.abs(resid).max() < 1e-11
 
+    def test_singular_fast_block_keeps_raw_boundary(self):
+        # A22 = 0: the boundary extrapolation cannot recover x2 at nodes 0
+        # and N, which keep the raw QP values (first order in h, 4.4e-3 off
+        # here against 1.0e-4 in the interior), and the shift reads NaN
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[-1.0, 1.0], [1.0, 0.0]]),
+            B=np.array([[1.0], [1.0]]), C=np.array([[1.0, 1.0]]),
+            F=np.array([[1.0, 0.0]]))
+        sol = lt.transcribe_and_solve(plant, [1.0, 0.0], [0.5], [0.0], 2.0, 100)
+        traj = lt.optimal_trajectory(plant, [1.0, 0.0], [0.5], [0.0], 2.0,
+                                     grid=101)
+        assert np.isnan(sol.boundary_u_shift)
+        assert np.abs(traj.x[1:-1] - sol.x[1:-1]).max() < 2e-4
+
     def test_riccati_cost_not_smaller_than_oracle(self, abc_fperp):
         # the discrete feasible set is a strict subset up to O(h^2), so the
         # continuous optimum can undercut the oracle only marginally
