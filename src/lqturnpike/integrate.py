@@ -109,11 +109,14 @@ def _scan(left, forcing, right=None):
     doubling: s_i is the sum over j <= i of L^(i-j) f_j R^(i-j)."""
     sums, shift = forcing.copy(), 1
     while shift < len(sums):
+        if shift > 1:   # squared only for use: a spare square may overflow
+            left = left @ left
+            right = None if right is None else right @ right
         moved = _times(left, sums[:-shift])
         if right is not None:
-            moved, right = _times(moved, right), right @ right
+            moved = _times(moved, right)
         sums[shift:] += moved
-        left, shift = left @ left, 2 * shift
+        shift *= 2
     return sums
 
 
@@ -343,17 +346,17 @@ def _dichotomy(a, r, q, s, g, c, w_end, t1, grid, x0):
         p_out = _times(v[:, :do], _times(v[:, :do].T @ u, ps) @ v[:, :do].T)
     p_out = 0.5 * (p_out + p_out.transpose(0, 2, 1))
 
-    # x_u forward from x0, driven likewise:
+    # x_u forward from x0 unless x0, g, c and w_end are zero (so is x_u):
     # x_u(t + h) = eu x_u(t) + gu_f y_F(t) + gu_b y_B(t + h)
     xs = zs[0, :, :do]
-    if do < d:
+    if do < d and (x0.any() or g.any() or c.any() or w_end.any()):
         a_uu, k_u = ham[do:d, do:d], ham[do:d, core]
         gu_f = _van_loan(a_uu, k_u @ v_f, t_f, h)
         gu_b = _forward_integral(a_uu, k_u @ v_b, -t_b, h)
         xu_forcing = np.vstack([z0[do:], y_f[0, :-1] @ gu_f.T
                                 + y_b[0, 1:] @ gu_b.T])
         xs = np.hstack([xs, _scan(expm(h * a_uu), xu_forcing)])
-    xs = np.vstack([x0, xs[1:] @ v.T])
+    xs = np.vstack([x0, xs[1:] @ v[:, :xs.shape[1]].T])
     if not (np.isfinite(p_out).all() and np.isfinite(ws).all()
             and np.isfinite(xs).all()):
         raise NumericalError("dichotomy solution became non-finite")

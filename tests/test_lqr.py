@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -393,6 +395,24 @@ class TestKernelHardCases:
         scalar = lt.LtiPlant(A=[[-1.0]], B=[[1.0]], C=[[SQRT3]], F=[[SQRT3]])
         ref = lt.optimal_trajectory(scalar, [1.0], [0.0], [1.0], 40.0)
         assert np.all(traj.P[:, 0, :] == 0.0) and np.all(traj.P[:, :, 0] == 0.0)
+        assert np.abs(traj.u - ref.u).max() <= 1e-12
+        assert abs(traj.cost - ref.cost) <= 1e-12 * ref.cost
+
+    def test_unobserved_mode_near_overflow_stays_quiet(self, abc_fc):
+        # at t1 = 300 the unobserved mode reaches e^{600}: the Riccati flow
+        # from x0 = 0 has no x_u to step, and the trajectory's doubling
+        # forms no power of e^{hA} beyond the ones it uses, so neither
+        # overflows into a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dre = lt.solve_gdre(abc_fc, 300.0)
+            traj = lt.optimal_trajectory(abc_fc, [1.0, 1.0], [0.0], [1.0],
+                                         300.0)
+        converged = lt.solve_gdre(abc_fc, 40.0).P[0]
+        assert np.abs(dre.P[0] - converged).max() <= 1e-10
+        scalar = lt.LtiPlant(A=[[-1.0]], B=[[1.0]], C=[[SQRT3]], F=[[SQRT3]])
+        ref = lt.optimal_trajectory(scalar, [1.0], [0.0], [1.0], 300.0)
+        assert np.all(np.isfinite(traj.x))
         assert np.abs(traj.u - ref.u).max() <= 1e-12
         assert abs(traj.cost - ref.cost) <= 1e-12 * ref.cost
 
