@@ -7,7 +7,14 @@ A standard plant (``LtiPlant``) is the descriptor plant with E = I, so one
 set of solvers serves both kinds; ``solve_gare``'s Abar is the closed loop
 At - Rt P1 of the reduced Riccati equation and Bbar its input matrix G.  The
 former names ``stabilizing_solution``, ``dae_optimal_trajectory`` and
-``dae_steady_state`` stay importable, outside ``__all__``, for the benchmark.
+``dae_steady_state`` (outside ``__all__``) and ``GareSolution.lam`` stay for
+the benchmark.  ``__all__`` holds the plants, solvers, results, turnpike
+diagnostics and oracle; helpers that only the package calls (``rank_svd``,
+``spectral_abscissa``, the ``plants.check_*`` tests, ``reduced_coefficients``)
+import from their modules.  ``expm``, ``solve_lyapunov`` and
+``solve_fast_block`` stay in it because the benchmark's tracer wraps only its
+names, and ``gramians`` and ``check_convergence_condition`` because the
+benchmark's workloads call them.
 
 The numerical policy is fixed (``linalg.RESIDUAL_TOL``, ``linalg.PSD_SLACK``,
 ``linalg.rank_cut``, ``linalg.EIG_RANK_CUT`` and the fixed shifts of the
@@ -16,16 +23,13 @@ regularity probe), so no function takes a tolerance or a seed.
 
 from .errors import (AssumptionViolation, DimensionError, NumericalError,
                      SingularBracketError, ToolkitError)
-from .linalg import (expm, min_eig_sym, rank_svd, solve_are_stabilizing,
-                     solve_lyapunov, spectral_abscissa)
+from .linalg import expm, solve_lyapunov
 from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
-                     StructuralReport, check_F_compatible,
-                     check_impulse_controllable, check_impulse_free,
-                     check_pencil_regular, structural_report)
+                     StructuralReport, structural_report)
 from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
                           StructuredDelta, check_convergence_condition,
-                          gramians, reduced_coefficients, solve_fast_block,
-                          solve_gare, solve_gdre, structured_delta)
+                          gramians, solve_fast_block, solve_gare, solve_gdre,
+                          structured_delta)
 from .riccati import stabilizing_solution
 from .lqr import (FeedforwardTrajectory, OptimalTrajectory, StateDecomposition,
                   SteadyState, TurnpikeReport, decompose_state, feedforward,
@@ -42,13 +46,8 @@ __all__ = [
     "OracleSolution", "SemiExplicitPartition", "SingularBracketError",
     "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
     "ToolkitError", "TurnpikeReport",
-    "check_convergence_condition", "check_F_compatible",
-    "check_impulse_controllable", "check_impulse_free",
-    "check_pencil_regular", "decompose_state",
-    "expm", "feedforward", "gramians", "min_eig_sym", "optimal_trajectory",
-    "rank_svd", "reduced_coefficients",
-    "solve_are_stabilizing", "solve_fast_block", "solve_gare", "solve_gdre",
-    "solve_lyapunov", "spectral_abscissa", "steady_state",
-    "structural_report", "structured_delta", "transcribe_and_solve",
-    "turnpike_report",
+    "check_convergence_condition", "decompose_state", "expm", "feedforward",
+    "gramians", "optimal_trajectory", "solve_fast_block", "solve_gare",
+    "solve_gdre", "solve_lyapunov", "steady_state", "structural_report",
+    "structured_delta", "transcribe_and_solve", "turnpike_report",
 ]

@@ -103,17 +103,6 @@ def spectral_abscissa(m):
     return float(np.max(eigs.real))
 
 
-def min_eig_sym(m):
-    """Smallest eigenvalue of a symmetric matrix."""
-    a = as_matrix(m, "min_eig_sym argument")
-    _require_square(a, "min_eig_sym argument")
-    if a.shape[0] == 0:
-        return np.inf
-    if np.linalg.norm(a - a.T, np.inf) > 1e-12 * (1.0 + np.linalg.norm(a, np.inf)):
-        raise DimensionError("min_eig_sym requires a symmetric matrix")
-    return float(np.linalg.eigvalsh(sym(a))[0])
-
-
 def rank_svd(m):
     """Numerical rank: number of singular values above the relative cutoff."""
     a = np.asarray(m)
@@ -314,13 +303,3 @@ def solve_are_q(a, bbt, q):
         raise AssumptionViolation(
             "stabilizing-solution", "computed solution fails to stabilize the closed loop")
     return p
-
-
-def solve_are_stabilizing(a, b, c):
-    """Stabilizing solution of ``A*X + XA - X BB* X + C*C = 0``."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    c = as_matrix(c, "C")
-    if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
-        raise DimensionError("A, B, C dimensions are inconsistent")
-    return solve_are_q(a, b @ b.T, c.T @ c)

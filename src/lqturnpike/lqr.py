@@ -239,7 +239,7 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
 
     alg = xs @ plant.A[d:].T + us @ part.B2.T
     alg_resid = float(np.max(np.linalg.norm(alg, axis=1)))
-    if alg_resid > 1e-8 * (1.0 + float(np.max(np.abs(x1s)))):
+    if alg_resid > 1e-8 * (1.0 + float(np.max(np.abs(x1s), initial=0.0))):
         raise NumericalError(
             f"algebraic constraint residual {alg_resid:.3e} exceeds 1e-8")
     notes = []

@@ -246,12 +246,12 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
     z = sol[:nz]
     n, m, h = disc.n, disc.m, disc.h
     grid = np.linspace(0.0, t1, N + 1)
+    u_times = grid.copy() if disc.kind == "dae" else grid[:-1] + 0.5 * h
     nx = n * (N + 1)
     xs = z[:nx].reshape(N + 1, n).copy()
-    us = z[nx:].reshape(-1, m).copy()
+    us = z[nx:].reshape(u_times.size, m).copy()
     shift = None
     if disc.kind == "dae":
-        u_times = grid.copy()
         d = disc.d
         shift = 0.0
         # Boundary-node controls are tied to one-sided interval multipliers
@@ -266,13 +266,11 @@ def transcribe_and_solve(plant, x0, y_c, y_e, t1, N):
             for j, uj in ((0, u_first), (N, u_last)):
                 x2j = -np.linalg.solve(
                     part.A22, part.A21 @ xs[j, :d] + part.B2 @ uj)
-                shift = max(shift, float(np.max(np.abs(uj - us[j]))))
+                shift = max(shift, float(np.max(np.abs(uj - us[j]), initial=0.0)))
                 us[j] = uj
                 xs[j, d:] = x2j
         except np.linalg.LinAlgError:
             shift = float("nan")   # singular A22: the raw QP values stay
-    else:
-        u_times = grid[:-1] + 0.5 * h
     cost = 0.5 * float(hv @ (z[hr] * z[hc])) - float(disc.f @ z) + disc.const
     return OracleSolution(grid=grid, x=xs, u=us, u_times=u_times,
                           cost=float(cost), kkt_residual=resid, kkt_dim=dim,

@@ -138,11 +138,6 @@ class StructuralReport:
     f_compatible: bool = False
     notes: list = field(default_factory=list)
 
-    def all_ok(self):
-        return (self.regular and self.impulse_controllable
-                and self.impulse_free and self.finite_dynamics_stable
-                and self.f_compatible)
-
 
 def check_pencil_regular(e, a):
     """Probabilistic regularity test: sE - A is not singular at one of 20

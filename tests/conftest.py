@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import lqturnpike as lt
+from lqturnpike.errors import DimensionError
+from lqturnpike.linalg import as_matrix, sym
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -38,6 +40,51 @@ def riccati_field(plant):
         return -(a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c)
 
     return field
+
+
+def min_eig_sym(m):
+    """Smallest eigenvalue of a symmetric matrix (a PSD assertion)."""
+    a = as_matrix(m, "min_eig_sym argument")
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"min_eig_sym argument must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        return np.inf
+    if np.linalg.norm(a - a.T, np.inf) > 1e-12 * (1.0 + np.linalg.norm(a, np.inf)):
+        raise DimensionError("min_eig_sym requires a symmetric matrix")
+    return float(np.linalg.eigvalsh(sym(a))[0])
+
+
+def gdre_fd_residual(dre, plant):
+    """Centered finite-difference defect of a Riccati trajectory on its
+    interior nodes against -E* Pdot = A* P + P* A - P* BB* P + C*C, with
+    E = diag(I_d, 0) (E = I for a standard plant).
+
+    Returns (residual, bound).  The bound is the h^2 truncation term of the
+    centered difference, estimated from second differences of the algebraic
+    right side, plus a floor of 1e-7 relative to max ||P|| and 1e-9
+    absolute; the truncation term dominates on any coarse output grid.
+    """
+    a, b, c = plant.A, plant.B, plant.C
+    grid, ps = dre.grid, dre.P
+    e = np.eye(plant.n)
+    e[dre.d:] = 0.0
+    pt = ps.transpose(0, 2, 1)
+    slopes = -(a.T @ ps + pt @ a - pt @ (b @ b.T) @ ps + c.T @ c)
+    h = grid[1] - grid[0]
+    defect = e @ (ps[2:] - ps[:-2]) / (2.0 * h) - slopes[1:-1]
+    resid = float(np.max(np.linalg.norm(defect, axis=(1, 2))))
+    # |fd - Pdot| <= h^2/6 max|P'''|; P''' estimated by second differences of Pdot
+    d2rhs = np.abs(slopes[2:] - 2.0 * slopes[1:-1] + slopes[:-2]) / h ** 2
+    p3 = float(np.max(np.linalg.norm(d2rhs, axis=(1, 2)))) if len(d2rhs) else 0.0
+    scale = 1.0 + float(np.max(np.linalg.norm(ps, axis=(1, 2))))
+    bound = (h ** 2 / 6.0) * p3 * 2.0 + 1e-7 * scale + 1e-9
+    return resid, bound
+
+
+def all_ok(rep):
+    """Every flag of a ``StructuralReport`` is set."""
+    return (rep.regular and rep.impulse_controllable and rep.impulse_free
+            and rep.finite_dynamics_stable and rep.f_compatible)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import lqturnpike as lt
-from lqturnpike.dae_riccati import gdre_fd_residual
 
-from conftest import integrate
+from conftest import all_ok, gdre_fd_residual, integrate
 
 E = np.zeros((4, 4))
 E[:2, :2] = np.eye(2)
@@ -39,7 +38,7 @@ def gare(plant):
 
 
 def test_structurally_sound(plant):
-    assert lt.structural_report(plant).all_ok()
+    assert all_ok(lt.structural_report(plant))
 
 
 def test_gare_and_reduction_identities(gare):

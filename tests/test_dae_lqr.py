@@ -5,7 +5,7 @@ import pytest
 
 import lqturnpike as lt
 
-from conftest import SQRT2
+from conftest import SQRT2, all_ok
 
 
 def _random_descriptor(rng, d=2, n2=1, m=2, k=2):
@@ -44,7 +44,7 @@ class TestDaeSteadyState:
         solved = 0
         for _ in range(20):
             plant = _random_descriptor(rng)
-            if not lt.structural_report(plant).all_ok():
+            if not all_ok(lt.structural_report(plant)):
                 continue
             try:
                 gare = lt.solve_gare(plant)
@@ -167,6 +167,25 @@ class TestDaeOptimalTrajectory:
         decay = c * np.exp(-(p_plus - p_minus) * (5.0 - traj.grid))
         p1 = p_plus + (p_plus - p_minus) * decay / (1.0 - decay)
         assert np.max(np.abs(traj.P[:, 0, 0] - p1) / p1) <= 1e-10
+
+    def test_purely_algebraic_plant(self):
+        # E = 0 (d = 0): x1 = u and x2 = 0, so the cost 5 (u - 1)^2 / 2 +
+        # 5 u^2 / 2 is least at u = 1/2; P is the constant solution
+        # sqrt(2) - 1 of -2p - p^2 + 1 = 0 on x1
+        plant = lt.DescriptorPlant(
+            E=np.zeros((2, 2)), A=np.diag([-1.0, -2.0]),
+            B=np.array([[1.0], [0.0]]), C=np.array([[1.0, 0.0]]),
+            F=np.zeros((1, 2)))
+        traj = lt.optimal_trajectory(plant, [0.0, 0.0], [1.0], [0.0], 5.0)
+        assert traj.d == 0
+        assert np.abs(traj.u - 0.5).max() <= 1e-12
+        assert np.abs(traj.x - [0.5, 0.0]).max() <= 1e-12
+        assert traj.cost == pytest.approx(1.25, rel=1e-12)
+        gdre = lt.solve_gdre(plant, 5.0)
+        assert np.abs(gdre.P[:, 0, 0] - (SQRT2 - 1.0)).max() <= 1e-12
+        sol = lt.transcribe_and_solve(plant, [0.0, 0.0], [1.0], [0.0], 5.0, 500)
+        assert np.abs(sol.x - [0.5, 0.0]).max() <= 1e-12
+        assert sol.cost == pytest.approx(1.25, rel=1e-12)
 
 
 class TestDaeTurnpikeReport:

@@ -6,11 +6,11 @@ import pytest
 import scipy.linalg as sla
 
 import lqturnpike as lt
-from lqturnpike.dae_riccati import gare_residual, gdre_fd_residual
+from lqturnpike.dae_riccati import gare_residual, reduced_coefficients
 from lqturnpike.errors import AssumptionViolation
 from lqturnpike.linalg import PSD_SLACK, RESIDUAL_TOL, solve_are_q
 
-from conftest import SQRT2, integrate
+from conftest import SQRT2, gdre_fd_residual, integrate, min_eig_sym
 
 TAU_GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
@@ -242,8 +242,8 @@ class TestReducedCoefficients:
                 C1=rng.standard_normal((k, d)), C2=c2,
                 S1=np.zeros((d, d)), F1=np.zeros((k, d)))
             p2 = lt.solve_fast_block(part.A22, part.B2, part.C2)
-            red = lt.reduced_coefficients(part, p2)
-            assert lt.min_eig_sym(red.Q_t) >= -1e-9
+            red = reduced_coefficients(part, p2)
+            assert min_eig_sym(red.Q_t) >= -1e-9
 
     def test_indefinite_weight_rejected(self):
         part = lt.SemiExplicitPartition(
@@ -254,7 +254,7 @@ class TestReducedCoefficients:
             S1=np.array([[0.0]]), F1=np.array([[0.0]]))
         # deliberately inconsistent fast-block choice makes Qt indefinite
         with pytest.raises(AssumptionViolation):
-            lt.reduced_coefficients(part, np.array([[0.0]]))
+            reduced_coefficients(part, np.array([[0.0]]))
 
 
 class TestSolveGare:
@@ -477,7 +477,7 @@ class TestStructuredDelta:
         delta = lt.structured_delta(gare_ref, gare_ref.partition.S1)
         vals = [delta.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
-            assert lt.min_eig_sym(older - newer) >= -PSD_SLACK
+            assert min_eig_sym(older - newer) >= -PSD_SLACK
         wnorm = np.linalg.norm(delta.gram_bar.W, 2)
         for tau in TAU_GRID:
             assert np.linalg.norm(delta.gram_bar.at(tau), 2) <= wnorm + 1e-12

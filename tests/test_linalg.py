@@ -4,9 +4,10 @@ import scipy.linalg as sla
 
 import lqturnpike as lt
 from lqturnpike.errors import AssumptionViolation, DimensionError, NumericalError
-from lqturnpike.linalg import PSD_SLACK, RESIDUAL_TOL, rank_cut, solve_are_q
+from lqturnpike.linalg import (PSD_SLACK, RESIDUAL_TOL, rank_cut, rank_svd,
+                               solve_are_q, spectral_abscissa)
 
-from conftest import A_PLUS_ABC, P_PLUS_ABC, SQRT2, W_ABC
+from conftest import A_PLUS_ABC, P_PLUS_ABC, SQRT2, W_ABC, min_eig_sym
 
 
 class TestExpm:
@@ -59,27 +60,27 @@ class TestLyapunov:
         for n in (2, 3, 5):
             for _ in range(5):
                 a = rng.standard_normal((n, n))
-                a -= (lt.spectral_abscissa(a) + 0.5) * np.eye(n)
+                a -= (spectral_abscissa(a) + 0.5) * np.eye(n)
                 g = rng.standard_normal((n, n))
                 q = g @ g.T
                 x = lt.solve_lyapunov(a, q)
                 assert np.abs(x - x.T).max() < 1e-12 * (1 + np.abs(x).max())
                 resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
                 assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(x, "fro"))
-                assert lt.min_eig_sym(x) >= -PSD_SLACK
+                assert min_eig_sym(x) >= -PSD_SLACK
 
     @pytest.mark.parametrize("n", [10, 40, 100])
     def test_large_random_stable(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) / np.sqrt(n)
-        a -= (lt.spectral_abscissa(a) + 0.5) * np.eye(n)
+        a -= (spectral_abscissa(a) + 0.5) * np.eye(n)
         g = rng.standard_normal((n, 3))
         q = g @ g.T
         x = lt.solve_lyapunov(a, q)
         assert np.abs(x - x.T).max() < 1e-12 * (1 + np.abs(x).max())
         resid = np.linalg.norm(a @ x + x @ a.T + q, "fro")
         assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(x, "fro"))
-        assert lt.min_eig_sym(x) >= -PSD_SLACK
+        assert min_eig_sym(x) >= -PSD_SLACK
 
     def test_unstable_rejected(self):
         with pytest.raises(AssumptionViolation):
@@ -106,15 +107,16 @@ class TestLyapunov:
 
 class TestAre:
     def test_scalar_zero_weight(self):
-        p = lt.solve_are_stabilizing([[-1.0]], [[1.0]], [[0.0]])
+        p = solve_are_q([[-1.0]], [[1.0]], [[0.0]])
         assert np.allclose(p, [[0.0]], atol=1e-12)
 
     def test_scalar(self):
-        p = lt.solve_are_stabilizing([[1.0]], [[1.0]], [[1.0]])
+        p = solve_are_q([[1.0]], [[1.0]], [[1.0]])
         assert abs(p[0, 0] - (1.0 + SQRT2)) < 1e-12
 
     def test_reference_example(self, abc_fperp):
-        p = lt.solve_are_stabilizing(abc_fperp.A, abc_fperp.B, abc_fperp.C)
+        p = solve_are_q(abc_fperp.A, abc_fperp.B @ abc_fperp.B.T,
+                        abc_fperp.C.T @ abc_fperp.C)
         assert np.abs(p - P_PLUS_ABC).max() < 1e-12
         resid = np.linalg.norm(
             abc_fperp.A.T @ p + p @ abc_fperp.A
@@ -142,11 +144,11 @@ class TestAre:
             a = rng.standard_normal((n, n))
             b = rng.standard_normal((n, m))
             c = rng.standard_normal((k, n))
-            p = lt.solve_are_stabilizing(a, b, c)
+            p = solve_are_q(a, b @ b.T, c.T @ c)
             resid = np.linalg.norm(
                 a.T @ p + p @ a - p @ b @ b.T @ p + c.T @ c, "fro")
             assert resid <= RESIDUAL_TOL * (1 + np.linalg.norm(p, "fro"))
-            assert lt.spectral_abscissa(a - b @ b.T @ p) < 0.0
+            assert spectral_abscissa(a - b @ b.T @ p) < 0.0
 
     @pytest.mark.parametrize("n", [10, 33])
     def test_matches_scipy_care(self, n):
@@ -159,7 +161,7 @@ class TestAre:
         expected = sla.solve_continuous_are(a, b, c.T @ c, np.eye(m))
         assert (np.linalg.norm(p - expected, "fro")
                 <= 1e-8 * np.linalg.norm(expected, "fro"))
-        assert lt.spectral_abscissa(a - b @ b.T @ p) < 0.0
+        assert spectral_abscissa(a - b @ b.T @ p) < 0.0
 
     @pytest.mark.parametrize("n", [40, 60])
     @pytest.mark.parametrize("seed", range(4))
@@ -171,14 +173,14 @@ class TestAre:
         b = rng.standard_normal((n, 2))
         c = rng.standard_normal((2, n))
         with pytest.raises(NumericalError, match=r"cond\(X11\)") as info:
-            lt.solve_are_stabilizing(a, b, c)
+            solve_are_q(a, b @ b.T, c.T @ c)
         assert "no stabilizing solution" not in str(info.value)
 
     def test_imaginary_axis_detected(self):
         # undamped oscillator with no control authority and no weight
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(AssumptionViolation):
-            lt.solve_are_stabilizing(a, np.zeros((2, 1)), np.zeros((1, 2)))
+            solve_are_q(a, np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_no_stabilizing_solution(self):
         # unstable mode invisible to both B and C
@@ -188,37 +190,37 @@ class TestAre:
 
 class TestRankAndSpectra:
     def test_rank_examples(self):
-        assert lt.rank_svd(np.eye(3)) == 3
-        assert lt.rank_svd(np.zeros((2, 3))) == 0
-        assert lt.rank_svd(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
+        assert rank_svd(np.eye(3)) == 3
+        assert rank_svd(np.zeros((2, 3))) == 0
+        assert rank_svd(np.array([[1.0, 1.0], [1.0, 1.0]])) == 1
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             m = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 5))
-            r = lt.rank_svd(m)
+            r = rank_svd(m)
             perm = rng.permutation(4)
-            assert lt.rank_svd(m[perm]) == r
+            assert rank_svd(m[perm]) == r
             q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-            assert lt.rank_svd(q1 @ m @ q2) == r
+            assert rank_svd(q1 @ m @ q2) == r
 
     def test_spectral_abscissa(self):
-        assert lt.spectral_abscissa(np.diag([2.0, -1.0])) == pytest.approx(2.0)
+        assert spectral_abscissa(np.diag([2.0, -1.0])) == pytest.approx(2.0)
         # the closed-loop eigenvalue -2 is defective, so sqrt(eps) accuracy
         # is all the eigensolver can promise there
-        assert lt.spectral_abscissa(A_PLUS_ABC) == pytest.approx(-2.0, abs=1e-6)
-        assert lt.spectral_abscissa([[-SQRT2]]) == pytest.approx(-SQRT2)
+        assert spectral_abscissa(A_PLUS_ABC) == pytest.approx(-2.0, abs=1e-6)
+        assert spectral_abscissa([[-SQRT2]]) == pytest.approx(-SQRT2)
 
     def test_min_eig_sym(self):
-        assert lt.min_eig_sym(np.eye(2)) == pytest.approx(1.0)
-        assert lt.min_eig_sym(np.diag([3.0, -0.5])) == pytest.approx(-0.5)
+        assert min_eig_sym(np.eye(2)) == pytest.approx(1.0)
+        assert min_eig_sym(np.diag([3.0, -0.5])) == pytest.approx(-0.5)
         expected = (77.0 - 5.0 * np.sqrt(145.0)) / 18.0
-        assert lt.min_eig_sym(P_PLUS_ABC) == pytest.approx(expected, abs=1e-12)
+        assert min_eig_sym(P_PLUS_ABC) == pytest.approx(expected, abs=1e-12)
 
     def test_min_eig_sym_asymmetric(self):
         with pytest.raises(DimensionError):
-            lt.min_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            min_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTolerances:

@@ -6,6 +6,7 @@ import pytest
 
 import lqturnpike as lt
 from lqturnpike.errors import NumericalError
+from lqturnpike.linalg import rank_svd
 from lqturnpike.oracle import discretize
 
 
@@ -18,7 +19,7 @@ class TestDiscretization:
     def test_constraint_row_rank(self, abc_fperp, ref_dae):
         for plant, x0 in ((abc_fperp, [1.0, 1.0]), (ref_dae, [1.0, 0.0])):
             disc = discretize(plant, x0, [0.0], [0.0], 1.0, 60)
-            assert lt.rank_svd(disc.G) == disc.G.shape[0]
+            assert rank_svd(disc.G) == disc.G.shape[0]
 
     def test_rank_deficiency_detected(self):
         plant = lt.DescriptorPlant(
@@ -92,6 +93,27 @@ class TestAgreement:
         traj = lt.optimal_trajectory(abc_fperp, [1.0, 1.0], [0.0], [1.0],
                                      10.0, grid=401)
         assert traj.cost <= sol.cost + 1e-3 * (1.0 + abs(sol.cost))
+
+    @pytest.mark.parametrize("kind", ["ode", "dae"])
+    def test_no_input(self, kind):
+        # m = 0: u has one empty row per control stage (midpoints or
+        # nodes), and x is the free response, second order in h
+        a = np.diag([-1.0, -2.0]) if kind == "ode" else np.array([[-1.0, 0.5], [0.3, 1.0]])
+        e = np.diag([1.0, 1.0 if kind == "ode" else 0.0])
+        plant = lt.DescriptorPlant(E=e, A=a, B=np.zeros((2, 0)),
+                                   C=np.array([[1.0, 0.0]]),
+                                   F=np.array([[1.0, 0.0]]))
+        errs = []
+        for n_steps in (500, 1000, 2000):
+            sol = lt.transcribe_and_solve(plant, [1.0, 1.0], [0.0], [0.0],
+                                          5.0, n_steps)
+            traj = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [0.0],
+                                         5.0, grid=n_steps + 1)
+            assert sol.u.shape == (n_steps + (kind == "dae"), 0)
+            assert sol.kkt_residual <= 1e-14
+            errs.append(np.abs(sol.x - traj.x).max())
+        assert errs[-1] < 2e-6
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 class TestRandomizedAgreement:

@@ -5,9 +5,9 @@ from scipy.interpolate import CubicHermiteSpline
 import lqturnpike as lt
 from lqturnpike.errors import SingularBracketError
 from lqturnpike.linalg import PSD_SLACK
-from lqturnpike.dae_riccati import gdre_fd_residual
 
-from conftest import P_PLUS_ABC, SQRT2, integrate, riccati_field
+from conftest import (P_PLUS_ABC, SQRT2, gdre_fd_residual, integrate, min_eig_sym,
+                      riccati_field)
 
 TAU_GRID = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
 
@@ -136,7 +136,7 @@ class TestSlidingTerminal:
         st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
         vals = [st.at(tau) for tau in TAU_GRID]
         for older, newer in zip(vals, vals[1:]):
-            assert lt.min_eig_sym(older - newer) >= -PSD_SLACK
+            assert min_eig_sym(older - newer) >= -PSD_SLACK
 
     def test_k_sup(self, abc_fperp, are_abc, gram_abc):
         st = lt.StructuredDelta(are_abc, abc_fperp.terminal_weight, gram_abc)
