@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,43 +177,31 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def write_csv(path, header, rows):
-    """One header line and a row of 17-digit numbers per row of the 2-D
-    array rows (the same digits as ``_fmt``)."""
+def _csv(args, sc, kind, header, rows):
+    """Write the command's CSV ``<stem>_<kind>.csv`` to --out, or else next
+    to the scenario (``figure1`` in the working directory without one): one
+    header line and a row of 17-digit numbers, the digits of ``_fmt``, per
+    row of the 2-D array rows.  Returns the command's report line."""
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    else:
+        out_dir = Path.cwd() if sc is None else sc.path.parent
+    path = out_dir / f"{'figure1' if sc is None else sc.path.stem}_{kind}.csv"
     np.savetxt(path, rows, fmt="%.17g", delimiter=",",
                header=",".join(header), comments="")
+    return "csv", path
 
 
-def _out_dir(args, sc=None):
-    if args.out:
-        d = Path(args.out)
-        d.mkdir(parents=True, exist_ok=True)
-        return d
-    if sc is not None:
-        return sc.path.parent
-    return Path.cwd()
-
-
-def _print_report(lines):
-    for key, val in lines:
-        print(f"{key}: {val}")
-
-
-def _structural_lines(rep):
-    lines = [("regular", rep.regular),
-             ("impulse_controllable", rep.impulse_controllable),
-             ("impulse_free", rep.impulse_free),
-             ("finite_dynamics_stable", rep.finite_dynamics_stable),
-             ("f_compatible", rep.f_compatible)]
-    for note in rep.notes:
-        lines.append(("note", note))
-    return lines
+def _notes(*note_lists):
+    return [("note", note) for notes in note_lists for note in notes]
 
 
 def cmd_check(sc, args):
     rep = plants.structural_report(sc.plant)
-    _print_report(_structural_lines(rep))
-    return 0
+    flags = ("regular", "impulse_controllable", "impulse_free",
+             "finite_dynamics_stable", "f_compatible")
+    return [(flag, getattr(rep, flag)) for flag in flags] + _notes(rep.notes)
 
 
 def _solve_are(sc):
@@ -228,27 +216,23 @@ def _solve_are(sc):
 
 def cmd_are(sc, args):
     gare, conv = _solve_are(sc)
-    _print_report([
+    return [
         ("norm_P_plus_fro", _fmt(np.linalg.norm(gare.P_plus, "fro"))),
         ("norm_P1_fro", _fmt(np.linalg.norm(gare.P1, "fro"))),
         ("spectral_abscissa", _fmt(gare.lambda_bar)),
         ("lambda_bar", _fmt(gare.lambda_bar)),
         ("residual", _fmt(gare.residual)),
         ("convergence_condition", conv),
-    ])
-    return 0
+    ]
 
 
 def cmd_dre(sc, args):
-    grid = args.grid or sc.grid
-    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, grid)
+    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, sc.grid)
     norms = dre.norm_fro()
-    out = _out_dir(args, sc) / f"{sc.path.stem}_dre.csv"
-    write_csv(out, ["t", "normP_fro"], np.column_stack([dre.grid, norms]))
-    _print_report([("normP_at_0", _fmt(norms[0])),
-                   ("normP_at_t1", _fmt(norms[-1])),
-                   ("csv", out)])
-    return 0
+    return [("normP_at_0", _fmt(norms[0])), ("normP_at_t1", _fmt(norms[-1])),
+            *_notes(dre.notes),
+            _csv(args, sc, "dre", ["t", "normP_fro"],
+                 np.column_stack([dre.grid, norms]))]
 
 
 def _solve_trajectory(sc, grid):
@@ -256,43 +240,35 @@ def _solve_trajectory(sc, grid):
 
 
 def cmd_simulate(sc, args):
-    grid = args.grid or sc.grid
-    traj = _solve_trajectory(sc, grid)
-    ts, xs, us, ys = traj.grid, traj.x, traj.u, traj.y
-    n, m, k = xs.shape[1], us.shape[1], ys.shape[1]
-    header = (["t"] + [f"x_{i + 1}" for i in range(n)]
-              + [f"u_{i + 1}" for i in range(m)]
-              + [f"y_{i + 1}" for i in range(k)])
-    out = _out_dir(args, sc) / f"{sc.path.stem}_trajectory.csv"
-    write_csv(out, header, np.column_stack([ts, xs, us, ys]))
-    _print_report([("cost", _fmt(traj.cost)), ("csv", out)])
-    return 0
+    traj = _solve_trajectory(sc, sc.grid)
+    blocks = {"x": traj.x, "u": traj.u, "y": traj.y}
+    header = ["t", *(f"{name}_{i + 1}" for name, block in blocks.items()
+                     for i in range(block.shape[1]))]
+    return [("cost", _fmt(traj.cost)), *_notes(traj.notes),
+            _csv(args, sc, "trajectory", header,
+                 np.column_stack([traj.grid, *blocks.values()]))]
 
 
 def cmd_turnpike(sc, args):
-    grid = args.grid or sc.grid
-    if grid < lqr._MIN_TURNPIKE_GRID:
+    if sc.grid < lqr._MIN_TURNPIKE_GRID:
         raise ScenarioError(f"turnpike needs a grid of at least "
-                            f"{lqr._MIN_TURNPIKE_GRID} nodes, got {grid}")
+                            f"{lqr._MIN_TURNPIKE_GRID} nodes, got {sc.grid}")
     gare, conv = _solve_are(sc)
     steady = lqr.steady_state(sc.plant, gare, sc.y_c)
-    traj = _solve_trajectory(sc, grid)
+    traj = _solve_trajectory(sc, sc.grid)
     report = lqr.turnpike_report(traj, steady, lam=gare.lambda_bar)
-    out = _out_dir(args, sc) / f"{sc.path.stem}_turnpike.csv"
-    write_csv(out, ["t", "dist_x", "dist_u", "envelope"],
-              np.column_stack([traj.grid, report.dist_x, report.dist_u,
-                               report.envelope]))
-    _print_report([
+    return [
         ("convergence_condition", conv),
         ("lambda_theory", _fmt(gare.lambda_bar)),
         ("lambda_hat", _fmt(report.lambda_hat)),
         ("C_hat", _fmt(report.C_hat)),
         ("envelope_holds", report.envelope_holds),
         ("max_violation", _fmt(report.max_violation)),
-        *(("note", note) for note in report.notes),
-        ("csv", out),
-    ])
-    return 0
+        *_notes(report.notes, traj.notes),
+        _csv(args, sc, "turnpike", ["t", "dist_x", "dist_u", "envelope"],
+             np.column_stack([traj.grid, report.dist_x, report.dist_u,
+                              report.envelope])),
+    ]
 
 
 def cmd_oracle(sc, args):
@@ -304,15 +280,11 @@ def cmd_oracle(sc, args):
     traj = _solve_trajectory(sc, steps + 1)
     ts, xs, cost = traj.grid, traj.x, traj.cost
     err_x = np.linalg.norm(xs - sol.x, axis=1)
-    header = ["t"]
     n = xs.shape[1]
-    header += [f"x_ric_{i + 1}" for i in range(n)]
-    header += [f"x_orc_{i + 1}" for i in range(n)]
-    header += ["err_x"]
-    out = _out_dir(args, sc) / f"{sc.path.stem}_oracle.csv"
-    write_csv(out, header, np.column_stack([ts, xs, sol.x, err_x]))
+    header = ["t", *(f"x_{src}_{i + 1}" for src in ("ric", "orc")
+                     for i in range(n)), "err_x"]
     rel_cost = abs(sol.cost - cost) / (1.0 + abs(cost))
-    _print_report([
+    return [
         ("steps", steps),
         ("max_state_error", _fmt(float(np.max(err_x)))),
         ("riccati_cost", _fmt(cost)),
@@ -323,9 +295,10 @@ def cmd_oracle(sc, args):
         ("kkt_nnz", sol.kkt_nnz),
         ("boundary_u_shift", "n/a" if sol.boundary_u_shift is None
          else _fmt(sol.boundary_u_shift)),
-        ("csv", out),
-    ])
-    return 0
+        *_notes(traj.notes),
+        _csv(args, sc, "oracle", header,
+             np.column_stack([ts, xs, sol.x, err_x])),
+    ]
 
 
 def _figure1_plants():
@@ -338,20 +311,15 @@ def _figure1_plants():
             plants.LtiPlant(A=a, B=b, C=c, F=f_perp))
 
 
-def cmd_figure1(args):
+def cmd_figure1(sc, args):
     t1, grid = 10.0, 101
-    x0 = np.array([1.0, 1.0])
-    y_c = np.array([0.0])
-    y_e = np.array([1.0])
+    x0, y_c, y_e = np.ones(2), np.zeros(1), np.ones(1)
     plant_fc, plant_fperp = _figure1_plants()
-    out_dir = _out_dir(args)
-    manifest = []
+    lines = []
     for tag, plant in (("fc", plant_fc), ("fperp", plant_fperp)):
         dre = dae_riccati.solve_gdre(plant, t1, grid)
-        path = out_dir / f"figure1_dre_{tag}.csv"
-        write_csv(path, ["t", "normP_fro"],
-                  np.column_stack([dre.grid, dre.norm_fro()]))
-        manifest.append(path)
+        lines.append(_csv(args, sc, f"dre_{tag}", ["t", "normP_fro"],
+                          np.column_stack([dre.grid, dre.norm_fro()])))
         traj = lqr.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
         xs = traj.x
         # the norm as one dot product per row, the digits of norm(x)
@@ -359,56 +327,51 @@ def cmd_figure1(args):
                                 np.sqrt(np.vecdot(xs, xs)),
                                 np.abs(xs @ plant.F[0]),
                                 np.abs(xs @ plant.C[0])])
-        path = out_dir / f"figure1_state_{tag}.csv"
-        write_csv(path, ["t", "abs_x1", "abs_x2", "norm_x", "abs_Fx", "abs_Cx"],
-                  rows)
-        manifest.append(path)
-    for path in manifest:
-        print(f"csv: {path}")
-    return 0
+        lines.append(_csv(args, sc, f"state_{tag}",
+                          ["t", "abs_x1", "abs_x2", "norm_x", "abs_Fx",
+                           "abs_Cx"], rows))
+    return lines
+
+
+_GRID = ("--grid", "override the output grid size")
+# name -> (runner, help, integer options); every command but figure1 reads a
+# scenario file
+_COMMANDS = {
+    "check": (cmd_check, "structural checks only", ()),
+    "are": (cmd_are, "stabilizing algebraic Riccati solve", ()),
+    "dre": (cmd_dre, "backward differential Riccati solve, CSV of norm "
+            "trace", (_GRID,)),
+    "simulate": (cmd_simulate, "optimal trajectory, CSV of "
+                 "state/input/output", (_GRID,)),
+    "turnpike": (cmd_turnpike, "turnpike fit and envelope check, CSV of "
+                 "distances", (_GRID,)),
+    "oracle": (cmd_oracle, "compare against the direct-transcription oracle",
+               (("--steps", "transcription steps"),)),
+    "figure1": (cmd_figure1, "reproduce the built-in two-panel reference "
+                "data", ()),
+}
 
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process for every ``main`` call."""
+    """The argument parser, built once per process for every ``main`` call:
+    a subcommand per ``_COMMANDS`` entry with --out and only the options it
+    reads."""
     parser = argparse.ArgumentParser(
         prog="lqturnpike",
         description="Finite-horizon LQR and turnpike diagnostics for "
                     "state-space and descriptor plants")
     sub = parser.add_subparsers(dest="command", required=True)
-    grid = ("--grid", "override the output grid size")
-    steps = ("--steps", "transcription steps")
-
-    def add(name, help_text, *options, scenario=True):
-        """A subcommand with --out and only the options it reads."""
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if scenario:
+        if name != "figure1":
             p.add_argument("scenario", help="path to a JSON scenario file")
             p.add_argument("--dump-normalized", action="store_true",
                            help="print the normalized scenario JSON and exit")
         p.add_argument("--out", default=None, help="output directory for CSV")
         for flag, help_option in options:
             p.add_argument(flag, type=int, default=None, help=help_option)
-
-    add("check", "structural checks only")
-    add("are", "stabilizing algebraic Riccati solve")
-    add("dre", "backward differential Riccati solve, CSV of norm trace", grid)
-    add("simulate", "optimal trajectory, CSV of state/input/output", grid)
-    add("turnpike", "turnpike fit and envelope check, CSV of distances", grid)
-    add("oracle", "compare against the direct-transcription oracle", steps)
-    add("figure1", "reproduce the built-in two-panel reference data",
-        scenario=False)
     return parser
-
-
-_COMMANDS = {
-    "check": cmd_check,
-    "are": cmd_are,
-    "dre": cmd_dre,
-    "simulate": cmd_simulate,
-    "turnpike": cmd_turnpike,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv=None):
@@ -419,15 +382,19 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
 
     try:
-        if args.command == "figure1":
-            return cmd_figure1(args)
-        sc = load_scenario(args.scenario)
-        if getattr(args, "grid", None) is not None and args.grid < 2:
+        path = getattr(args, "scenario", None)
+        sc = None if path is None else load_scenario(path)
+        grid = getattr(args, "grid", None)
+        if grid is not None and grid < 2:
             raise ScenarioError("--grid must be >= 2")
-        if args.dump_normalized:
+        if sc is not None and args.dump_normalized:
             print(normalized_json(sc))
             return 0
-        return _COMMANDS[args.command](sc, args)
+        if grid is not None:
+            sc = replace(sc, grid=grid)
+        for key, val in _COMMANDS[args.command][0](sc, args):
+            print(f"{key}: {val}")
+        return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ second block column zero and is given in closed form through the reduced
 closed loop (Abar, Bbar).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class GareSolution:
     P_plus: np.ndarray
     K2: np.ndarray
     A_plus: np.ndarray
-    A_p1: np.ndarray
     A_p12: np.ndarray
     A_p21: np.ndarray
     A_p2: np.ndarray
@@ -101,12 +100,14 @@ class GdreSolution:
     """Backward Riccati trajectory on an ascending uniform grid: P[i] is
     [[P1, 0], [P21, P2]] at grid[i], with the time-varying differential
     block P1, the algebraically slaved coupling block P21 and the constant
-    fast block P2; P = P1 for a standard plant (d = n)."""
+    fast block P2; P = P1 for a standard plant (d = n).  ``notes`` are the
+    solve's warnings, those of the trajectory it was read from."""
 
     t1: float
     grid: np.ndarray     # ascending, grid[0] = 0, grid[-1] = t1
     P: np.ndarray        # (G, n, n)
     d: int
+    notes: list = field(default_factory=list)
 
     @property
     def P1(self):
@@ -381,8 +382,7 @@ def solve_gare(plant):
             f"generalized ARE residual {resid:.3e} exceeds tolerance")
 
     a_plus = plant.A - plant.B @ plant.B.T @ p_plus
-    a_p1, a_p12 = a_plus[:d, :d], a_plus[:d, d:]
-    a_p21, a_p2 = a_plus[d:, :d], a_plus[d:, d:]
+    a_p12, a_p21, a_p2 = a_plus[:d, d:], a_plus[d:, :d], a_plus[d:, d:]
     # A+2 = K2* is invertible, Abar = A+1 - A+12 A+2^{-1} A+21 is At - Rt P1
     # (Hurwitz by solve_are_q) and Bbar = B1 - A+12 A+2^{-1} B2 is G
     a_bar = red.A_t - red.R_t @ p1
@@ -390,7 +390,7 @@ def solve_gare(plant):
     c_bar = part.C1 - part.C2 @ np.linalg.solve(a_p2, a_p21)
 
     return GareSolution(P1=p1, P21=p_plus[d:, :d], P2=p2, P_plus=p_plus,
-                        K2=red.K2, A_plus=a_plus, A_p1=a_p1, A_p12=a_p12,
+                        K2=red.K2, A_plus=a_plus, A_p12=a_p12,
                         A_p21=a_p21, A_p2=a_p2, A_bar=a_bar, B_bar=red.G,
                         C_bar=c_bar, A_bar_schur=a_bar_schur,
                         lambda_bar=schur_abscissa(a_bar_schur[0]),
@@ -415,7 +415,8 @@ def solve_gdre(plant, t1, grid=101):
     from .lqr import optimal_trajectory   # lqr imports this module
     traj = optimal_trajectory(plant, np.zeros(plant.n), np.zeros(plant.k),
                               np.zeros(plant.F.shape[0]), t1, grid)
-    return GdreSolution(t1=float(t1), grid=traj.grid, P=traj.P, d=traj.d)
+    return GdreSolution(t1=float(t1), grid=traj.grid, P=traj.P, d=traj.d,
+                        notes=traj.notes)
 
 
 def gramians(are, b):

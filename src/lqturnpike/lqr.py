@@ -339,7 +339,8 @@ def turnpike_report(traj, steady, lam=None):
     too few window samples lie above the degeneracy floor.  The envelope
     constant is the (inflated) global maximum of dist/(e^{lt}+e^{l(t1-t)}).
     ``envelope_holds`` additionally demands that both state and input
-    distances decay over the window and that the mid-horizon distance dips
+    distances decay over the window, or never leave the degeneracy floor
+    over the horizon, and that the mid-horizon distance dips
     well below the boundary-layer values; a single-horizon run cannot
     falsify the existence of *some* envelope constant, but it can certify
     the dip.
@@ -401,5 +402,9 @@ def turnpike_report(traj, steady, lam=None):
             report.notes.append(
                 f"{label} distance does not decay over the rate window")
 
-    report.envelope_holds = bool(lam_x < 0.0 and lam_u < 0.0 and dip_ok)
+    # a distance with no node above the floor over the whole horizon (the
+    # input distance of a plant with no input) has nothing left to decay
+    decayed = [rate < 0.0 or not np.any(dist > floor)
+               for rate, dist in ((lam_x, dist_x), (lam_u, dist_u))]
+    report.envelope_holds = bool(all(decayed) and dip_ok)
     return report

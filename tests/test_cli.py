@@ -303,6 +303,34 @@ class TestCommands:
         assert any("state distance" in n and "degeneracy floor" in n
                    for n in notes)
 
+    @pytest.mark.parametrize("cmd", ["simulate", "turnpike", "oracle"])
+    def test_solving_commands_print_the_trajectory_notes(self, cmd, tmp_path,
+                                                         capsys):
+        # an algebraic x0 that breaks the consistency relation is recomputed
+        path = _write(tmp_path, "dae.json", dict(DAE_SCENARIO, x0=[1.0, 0.5]))
+        assert main([cmd, str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("note: algebraic initial values recomputed from the "
+                "consistency relation") in lines
+        assert lines[-1].startswith("csv: ")
+
+    def test_dre_prints_the_gdre_notes(self, tmp_path, capsys):
+        # F = [1e-10, sqrt 3] barely sees the unstable mode
+        data = dict(ODE_SCENARIO, F=[[1e-10, 1.7320508075688772]])
+        path = _write(tmp_path, "gap.json", data)
+        assert main(["dre", str(path)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("note: ")]
+        assert len(notes) == 1 and "rank gap 2.9e-11" in notes[0]
+
+    def test_turnpike_without_input_holds(self, tmp_path, capsys):
+        data = {"kind": "ode", "A": [[-1.0, 0.0], [0.0, -2.0]],
+                "B": [[], []], "C": [[1.0, 0.0]], "F": [[1.0, 0.0]],
+                "x0": [1.0, 1.0], "t1": 5.0}
+        path = _write(tmp_path, "no_input.json", data)
+        assert main(["turnpike", str(path)]) == 0
+        assert "envelope_holds: True" in capsys.readouterr().out.splitlines()
+
     def test_turnpike_csv_deterministic(self, tmp_path, capsys):
         path = _write(tmp_path, "dae.json", DAE_SCENARIO)
         csv_path = tmp_path / "dae_turnpike.csv"

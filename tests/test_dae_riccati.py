@@ -432,6 +432,20 @@ class TestSolveGdre:
         resid, bound = gdre_fd_residual(gdre, ref_dae)
         assert resid <= bound
 
+    @pytest.mark.parametrize("f_row, noted", [
+        ([1e-10, np.sqrt(3.0)], True), ([np.sqrt(3.0), 0.0], False)])
+    def test_keeps_the_trajectory_notes(self, f_row, noted):
+        # F = [1e-10, sqrt 3] barely sees the unstable mode: the rank-gap
+        # note of the trajectory that the solve is read from stays on it;
+        # F-perp splits cleanly
+        plant = lt.LtiPlant(A=np.diag([2.0, -1.0]), B=np.array([[1.0], [1.0]]),
+                            C=np.array([[0.0, np.sqrt(3.0)]]),
+                            F=np.array([f_row]))
+        gdre = lt.solve_gdre(plant, 10.0)
+        traj = lt.optimal_trajectory(plant, [0.0, 0.0], [0.0], [0.0], 10.0)
+        assert gdre.notes == traj.notes
+        assert any("rank gap 2.9e-11" in note for note in gdre.notes) == noted
+
     def test_structural_invariants(self, ref_dae, gare_ref):
         gdre = lt.solve_gdre(ref_dae, 10.0)
         bbt = ref_dae.B @ ref_dae.B.T

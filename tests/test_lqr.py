@@ -523,6 +523,19 @@ class TestTurnpikeReport:
         assert not rep.envelope_holds
         assert any("rate not fitted" in note for note in rep.notes)
 
+    def test_no_input_distance_counts_as_decayed(self):
+        # m = 0: the input distance is zero over the whole horizon, so no
+        # input rate can be fitted, and there is nothing left to decay
+        plant = lt.LtiPlant(A=np.diag([-1.0, -2.0]), B=np.zeros((2, 0)),
+                            C=np.array([[1.0, 0.0]]), F=np.array([[1.0, 0.0]]))
+        are = lt.solve_gare(plant)
+        steady = lt.steady_state(plant, are, [0.0])
+        traj = lt.optimal_trajectory(plant, [1.0, 1.0], [0.0], [0.0], 5.0)
+        rep = lt.turnpike_report(traj, steady, lam=are.lambda_bar)
+        assert np.isnan(rep.lambda_hat_u) and rep.lambda_hat < 0.0
+        assert rep.max_violation <= 0.0
+        assert rep.envelope_holds
+
     def test_short_horizon_has_no_dip(self, abc_fperp, are_abc):
         # at t1 = 0.5 the two boundary layers overlap: nothing dips in the
         # middle, so the envelope is not certified
