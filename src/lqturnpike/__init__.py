@@ -26,14 +26,14 @@ from .errors import (AssumptionViolation, DimensionError, NumericalError,
 from .linalg import expm, solve_lyapunov
 from .plants import (DescriptorPlant, LtiPlant, SemiExplicitPartition,
                      StructuralReport, structural_report)
-from .dae_riccati import (GareSolution, GdreSolution, GramianSet,
-                          StructuredDelta, check_convergence_condition,
-                          gramians, solve_fast_block, solve_gare, solve_gdre,
-                          structured_delta)
+from .dae_riccati import (GareSolution, GramianSet, StructuredDelta,
+                          check_convergence_condition, gramians,
+                          solve_fast_block, solve_gare, structured_delta)
 from .riccati import stabilizing_solution
 from .lqr import (FeedforwardTrajectory, OptimalTrajectory, StateDecomposition,
                   SteadyState, TurnpikeReport, decompose_state, feedforward,
-                  optimal_trajectory, steady_state, turnpike_report)
+                  optimal_trajectory, solve_gdre, steady_state,
+                  turnpike_report)
 from .dae_lqr import dae_optimal_trajectory, dae_steady_state
 from .oracle import DiscretizedLQ, OracleSolution, transcribe_and_solve
 
@@ -41,11 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolation", "DescriptorPlant", "DimensionError",
-    "DiscretizedLQ", "FeedforwardTrajectory", "GareSolution", "GdreSolution",
-    "GramianSet", "LtiPlant", "NumericalError", "OptimalTrajectory",
-    "OracleSolution", "SemiExplicitPartition", "SingularBracketError",
-    "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
-    "ToolkitError", "TurnpikeReport",
+    "DiscretizedLQ", "FeedforwardTrajectory", "GareSolution", "GramianSet",
+    "LtiPlant", "NumericalError", "OptimalTrajectory", "OracleSolution",
+    "SemiExplicitPartition", "SingularBracketError", "StateDecomposition",
+    "SteadyState", "StructuralReport", "StructuredDelta", "ToolkitError",
+    "TurnpikeReport",
     "check_convergence_condition", "decompose_state", "expm", "feedforward",
     "gramians", "optimal_trajectory", "solve_fast_block", "solve_gare",
     "solve_gdre", "solve_lyapunov", "steady_state", "structural_report",

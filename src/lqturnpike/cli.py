@@ -227,8 +227,8 @@ def cmd_are(sc, args):
 
 
 def cmd_dre(sc, args):
-    dre = dae_riccati.solve_gdre(sc.plant, sc.t1, sc.grid)
-    norms = dre.norm_fro()
+    dre = lqr.solve_gdre(sc.plant, sc.t1, sc.grid)
+    norms = np.linalg.norm(dre.P, axis=(1, 2))
     return [("normP_at_0", _fmt(norms[0])), ("normP_at_t1", _fmt(norms[-1])),
             *_notes(dre.notes),
             _csv(args, sc, "dre", ["t", "normP_fro"],
@@ -317,10 +317,11 @@ def cmd_figure1(sc, args):
     plant_fc, plant_fperp = _figure1_plants()
     lines = []
     for tag, plant in (("fc", plant_fc), ("fperp", plant_fperp)):
-        dre = dae_riccati.solve_gdre(plant, t1, grid)
-        lines.append(_csv(args, sc, f"dre_{tag}", ["t", "normP_fro"],
-                          np.column_stack([dre.grid, dre.norm_fro()])))
+        # P does not depend on x0, y_c or y_e: the DRE trace is traj's
         traj = lqr.optimal_trajectory(plant, x0, y_c, y_e, t1, grid)
+        lines.append(_csv(args, sc, f"dre_{tag}", ["t", "normP_fro"],
+                          np.column_stack([traj.grid, np.linalg.norm(
+                              traj.P, axis=(1, 2))])))
         xs = traj.x
         # the norm as one dot product per row, the digits of norm(x)
         rows = np.column_stack([traj.grid, np.abs(xs),

@@ -17,7 +17,7 @@ second block column zero and is given in closed form through the reduced
 closed loop (Abar, Bbar).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,32 +93,6 @@ class GareSolution:
     @property
     def lam(self):
         return self.lambda_bar
-
-
-@dataclass(frozen=True)
-class GdreSolution:
-    """Backward Riccati trajectory on an ascending uniform grid: P[i] is
-    [[P1, 0], [P21, P2]] at grid[i], with the time-varying differential
-    block P1, the algebraically slaved coupling block P21 and the constant
-    fast block P2; P = P1 for a standard plant (d = n).  ``notes`` are the
-    solve's warnings, those of the trajectory it was read from."""
-
-    t1: float
-    grid: np.ndarray     # ascending, grid[0] = 0, grid[-1] = t1
-    P: np.ndarray        # (G, n, n)
-    d: int
-    notes: list = field(default_factory=list)
-
-    @property
-    def P1(self):
-        return self.P[:, :self.d, :self.d]
-
-    @property
-    def P21(self):
-        return self.P[:, self.d:, :self.d]
-
-    def norm_fro(self):
-        return np.linalg.norm(self.P, axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -403,20 +377,6 @@ def gare_residual(plant, p):
     a, b, c = plant.A, plant.B, plant.C
     r = a.T @ p + p.T @ a - p.T @ b @ b.T @ p + c.T @ c
     return float(np.linalg.norm(r, "fro"))
-
-
-def solve_gdre(plant, t1, grid=101):
-    """Backward Riccati solve of either plant kind: the P of
-    ``lqr.optimal_trajectory`` from x0 = 0 with y_c = y_e = 0, the reduced
-    equation from P1(t1) = S1 by its exact dichotomy solve, the coupling
-    block slaved algebraically and the fast block constant.  No algebraic
-    Riccati equation is solved, so plants whose slow dynamics cannot be
-    stabilized get their solution too."""
-    from .lqr import optimal_trajectory   # lqr imports this module
-    traj = optimal_trajectory(plant, np.zeros(plant.n), np.zeros(plant.k),
-                              np.zeros(plant.F.shape[0]), t1, grid)
-    return GdreSolution(t1=float(t1), grid=traj.grid, P=traj.P, d=traj.d,
-                        notes=traj.notes)
 
 
 def gramians(are, b):

@@ -66,7 +66,8 @@ class OptimalTrajectory:
     """Optimal trajectory on the output grid.  The first ``d`` state and
     feedforward components are the differential block (d = n for a standard
     plant); ``algebraic_residual`` is the largest residual of the algebraic
-    equations over the nodes."""
+    equations over the nodes.  ``P1`` and ``P21`` are the differential and
+    coupling blocks of the Riccati samples."""
 
     grid: np.ndarray
     x: np.ndarray           # (G, n)
@@ -94,6 +95,14 @@ class OptimalTrajectory:
     @property
     def w2(self):
         return self.w[:, self.d:]
+
+    @property
+    def P1(self):
+        return self.P[:, :self.d, :self.d]
+
+    @property
+    def P21(self):
+        return self.P[:, self.d:, :self.d]
 
 
 @dataclass(frozen=True)
@@ -265,6 +274,17 @@ def optimal_trajectory(plant, x0, y_c, y_e, t1, grid=101):
                              notes=notes)
 
 
+def solve_gdre(plant, t1, grid=101):
+    """Backward Riccati solve of either plant kind: the trajectory of
+    ``optimal_trajectory`` from x0 = 0 with y_c = y_e = 0, whose P is the
+    reduced equation's solution from P1(t1) = S1 with the coupling block
+    slaved algebraically and the fast block constant.  P depends on none of
+    x0, y_c and y_e.  No algebraic Riccati equation is solved, so plants
+    whose slow dynamics cannot be stabilized get their solution too."""
+    return optimal_trajectory(plant, np.zeros(plant.n), np.zeros(plant.k),
+                              np.zeros(plant.F.shape[0]), t1, grid)
+
+
 def _running_cost(ts, ys, us, y_c):
     integrand = 0.5 * (np.sum((ys - y_c) ** 2, axis=1) + np.sum(us ** 2, axis=1))
     return float(np.trapezoid(integrand, ts))
@@ -374,12 +394,15 @@ def turnpike_report(traj, steady, lam=None):
     rate = lam_x if lam_x < 0.0 else (lam if lam is not None and lam < 0.0 else None)
     if rate is not None:
         env = np.exp(rate * ts) + np.exp(rate * (t1 - ts))
-        c_hat = _C_HAT_INFLATION * float(np.max(
-            np.maximum(dist_x, dist_u) / env))
+        dist = np.maximum(dist_x, dist_u)
+        # a node where the envelope underflows to 0 and the distance is at
+        # the degeneracy floor bounds nothing, so it is left out
+        seen = (env > 0.0) | (dist > floor)
+        c_hat = _C_HAT_INFLATION * float(np.max(dist[seen] / env[seen]))
         report.C_hat = c_hat
         report.envelope = c_hat * env
-        report.max_violation = float(np.max(
-            np.maximum(dist_x, dist_u) - c_hat * env))
+        report.max_violation = float(np.max(dist[seen]
+                                            - report.envelope[seen]))
     else:
         report.C_hat = float("inf")
         report.envelope = np.full_like(dist_x, np.inf)

@@ -502,6 +502,10 @@ class TestStructuredDelta:
         with pytest.raises(AssumptionViolation):
             lt.structured_delta(gare_ref, s1_bad)
 
+    def test_terminal_block_of_wrong_size_rejected(self, gare_ref):
+        with pytest.raises(ValueError, match=r"^S1 must be 1x1$"):
+            lt.structured_delta(gare_ref, np.eye(2))
+
 
 class TestDecoupledClosedLoop:
     def test_equilibrium(self, gare_ref):

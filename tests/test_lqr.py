@@ -536,6 +536,26 @@ class TestTurnpikeReport:
         assert rep.max_violation <= 0.0
         assert rep.envelope_holds
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_envelope_leaves_floor_nodes_out(self):
+        # A22 = 1e-9 gives lambda_bar = -1e9: the envelope underflows to 0
+        # at every interior node, where the distance is at the degeneracy
+        # floor, so the two boundary nodes set C_hat
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.array([[-1.0, 1.0], [1.0, 1e-9]]),
+            B=np.array([[1.0], [0.0]]), C=np.array([[1.0, 0.0]]),
+            F=np.array([[1.0, 0.0]]))
+        are = lt.solve_gare(plant)
+        steady = lt.steady_state(plant, are, [1.0])
+        traj = lt.optimal_trajectory(plant, [1.0, 0.0], [1.0], [0.0], 5.0, 41)
+        rep = lt.turnpike_report(traj, steady, lam=are.lambda_bar)
+        dist = np.maximum(rep.dist_x, rep.dist_u)
+        assert np.all(rep.envelope[1:-1] == 0.0)
+        assert rep.C_hat == pytest.approx(1.05 * max(dist[0], dist[-1]),
+                                          rel=1e-12)
+        assert np.isfinite(rep.max_violation) and rep.max_violation <= 0.0
+        assert np.all(dist[[0, -1]] <= rep.envelope[[0, -1]])
+
     def test_short_horizon_has_no_dip(self, abc_fperp, are_abc):
         # at t1 = 0.5 the two boundary layers overlap: nothing dips in the
         # middle, so the envelope is not certified

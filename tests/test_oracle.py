@@ -16,6 +16,10 @@ class TestDiscretization:
             lt.transcribe_and_solve(abc_fperp, [0.0, 0.0], [0.0], [0.0],
                                     1.0, 10)
 
+    def test_non_plant_rejected(self):
+        with pytest.raises(TypeError, match=r"^unsupported plant type dict$"):
+            lt.transcribe_and_solve({}, [0.0], [0.0], [0.0], 1.0, 50)
+
     def test_constraint_row_rank(self, abc_fperp, ref_dae):
         for plant, x0 in ((abc_fperp, [1.0, 1.0]), (ref_dae, [1.0, 0.0])):
             disc = discretize(plant, x0, [0.0], [0.0], 1.0, 60)

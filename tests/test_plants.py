@@ -43,8 +43,9 @@ class TestPlantConstruction:
         assert abc_fperp.partition().A22.shape == (0, 0)
 
     @pytest.mark.parametrize("bad, name", [
-        ({"B": np.zeros((3, 1))}, "B"), ({"E": np.eye(3)}, "E")],
-        ids=["B_rows", "E_shape"])
+        ({"B": np.zeros((3, 1))}, "B"), ({"E": np.eye(3)}, "E"),
+        ({"C": np.zeros((1, 3))}, "C"), ({"F": np.zeros((1, 3))}, "F")],
+        ids=["B_rows", "E_shape", "C_columns", "F_columns"])
     def test_descriptor_dimension_names_matrix(self, bad, name):
         mats = dict(E=np.diag([1.0, 0.0]), A=np.eye(2), B=np.zeros((2, 1)),
                     C=np.zeros((1, 2)), F=np.zeros((1, 2)))
@@ -79,6 +80,11 @@ class TestPencilChecks:
 
     def test_singular_pencil(self):
         assert not check_pencil_regular(np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_pencil_shapes_must_agree(self):
+        with pytest.raises(DimensionError,
+                           match=r"^E, A must be square of equal size$"):
+            check_pencil_regular(np.eye(2), np.eye(3))
 
     def test_impulse_controllable_examples(self):
         e = np.diag([1.0, 0.0])
@@ -221,6 +227,16 @@ class TestStructuralReport:
         rep = lt.structural_report(plant)
         assert rep.regular
         assert not rep.impulse_controllable
+
+    def test_terminal_weight_on_algebraic_variables(self):
+        plant = lt.DescriptorPlant(
+            E=np.diag([1.0, 0.0]), A=np.diag([1.0, -1.0]),
+            B=np.array([[1.0], [1.0]]), C=np.array([[1.0, 0.0]]),
+            F=np.array([[0.0, 1.0]]))
+        rep = lt.structural_report(plant)
+        assert not rep.f_compatible
+        assert ("terminal weight F acts on algebraic variables (range F* not "
+                "within range E*)") in rep.notes
 
     @pytest.mark.parametrize("wrapped", [True, False],
                              ids=["identity_descriptor", "lti_plant"])

@@ -6,12 +6,12 @@ import lqturnpike as lt
 
 PUBLIC = [
     "AssumptionViolation", "DescriptorPlant", "DimensionError",
-    "DiscretizedLQ", "FeedforwardTrajectory", "GareSolution", "GdreSolution",
-    "GramianSet", "LtiPlant", "NumericalError", "OptimalTrajectory",
-    "OracleSolution", "SemiExplicitPartition", "SingularBracketError",
-    "StateDecomposition", "SteadyState", "StructuralReport", "StructuredDelta",
-    "ToolkitError", "TurnpikeReport", "check_convergence_condition",
-    "decompose_state", "expm", "feedforward", "gramians", "optimal_trajectory",
+    "DiscretizedLQ", "FeedforwardTrajectory", "GareSolution", "GramianSet",
+    "LtiPlant", "NumericalError", "OptimalTrajectory", "OracleSolution",
+    "SemiExplicitPartition", "SingularBracketError", "StateDecomposition",
+    "SteadyState", "StructuralReport", "StructuredDelta", "ToolkitError",
+    "TurnpikeReport", "check_convergence_condition", "decompose_state",
+    "expm", "feedforward", "gramians", "optimal_trajectory",
     "solve_fast_block", "solve_gare", "solve_gdre", "solve_lyapunov",
     "steady_state", "structural_report", "structured_delta",
     "transcribe_and_solve", "turnpike_report",
